@@ -499,16 +499,25 @@ def merge_reports(*reports: StudyReport) -> StudyReport:
     return StudyReport(study, tuple(rows))
 
 
-def trig_moment(ell: int, q: int, k: int, parity: int, num_points: int = 10000) -> float:
+def trig_moment(
+    ell: int, q: int, k: int, parity: int, num_points: int | None = None
+) -> float:
     """Trapezoid estimate of the moment sin^ell(t) cos^q(t) x {cos,sin}(k t) on [-pi, pi].
 
     parity 0 pairs with cos(k t), parity 1 with sin(k t).  The moment vanishes
-    whenever ell + q < k, which is what callers verify.
+    whenever ell + q < k, which is what callers verify.  The integrand is a
+    trigonometric polynomial of degree ell + q + k, and the trapezoid rule
+    with N intervals on a full period is exact below frequency N (Trefethen
+    & Weideman, SIAM Rev. 56, 2014), so the default num_points,
+    ell + q + k + 2 (N = ell + q + k + 1 intervals), already gives the exact
+    moment up to rounding.
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     if ell < 0 or q < 0 or k < 0:
         raise ValueError("ell, q, k must be nonnegative")
+    if num_points is None:
+        num_points = ell + q + k + 2
     ts = np.linspace(-math.pi, math.pi, num_points)
     osc = np.cos(k * ts) if parity == 0 else np.sin(k * ts)
     ys = np.sin(ts) ** ell * np.cos(ts) ** q * osc

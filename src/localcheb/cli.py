@@ -71,7 +71,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +387,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except OverflowError as exc:
+        print(f"localcheb: error: numeric overflow ({exc})", file=sys.stderr)
+    except (ValueError, OSError) as exc:
         print(f"localcheb: error: {exc}", file=sys.stderr)
-        return 1
+    return 1

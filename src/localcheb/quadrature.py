@@ -80,10 +80,17 @@ def _patch_value(rule: QuadratureRule, f: Callable[[float], float], patch: Inter
     return half_h * math.fsum(terms)
 
 
+def _finite_value(value: float) -> float:
+    # checked once per call, not per node: a NaN or infinite sample leaves the sum non-finite
+    if not math.isfinite(value):
+        raise ValueError(f"quadrature value {value!r} is not finite")
+    return value
+
+
 def integrate(kind: QuadKind, f: SampledFunction, interval: Interval, n: int) -> QuadResult:
     """Apply the n-point rule of the given kind once over the whole interval."""
     rule = make_rule(kind, n)
-    value = _patch_value(rule, f.evaluator, interval)
+    value = _finite_value(_patch_value(rule, f.evaluator, interval))
     return QuadResult(value=value, kind=kind, n=n, evaluations=n)
 
 
@@ -97,7 +104,7 @@ def integrate_composite(
     rule = make_rule(kind, n)
     vals = [_patch_value(rule, f.evaluator, patch) for patch in partition.patches()]
     return QuadResult(
-        value=math.fsum(vals), kind=kind, n=n, evaluations=n * partition.pieces
+        value=_finite_value(math.fsum(vals)), kind=kind, n=n, evaluations=n * partition.pieces
     )
 
 

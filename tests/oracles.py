@@ -17,7 +17,11 @@ SEEDS = {"T": (1.0, 0.0), "U": (2.0, 0.0), "V": (2.0, -1.0), "W": (2.0, 1.0)}
 
 def trig_eval(label: str, n: int, t: float) -> float:
     """Closed trigonometric form at an interior point t in (-1, 1)."""
-    theta = math.acos(t)
+    return trig_eval_angle(label, n, math.acos(t))
+
+
+def trig_eval_angle(label: str, n: int, theta: float) -> float:
+    """Closed trigonometric form at t = cos(theta), theta in (0, pi)."""
     if label == "T":
         return math.cos(n * theta)
     if label == "U":

@@ -141,6 +141,29 @@ def test_input_errors_exit_one(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["quad", "--rule", "f1", "--n", "4", "--fn", "poly:nan", "--a", "0", "--b", "1"],
+        ["quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "700", "--b", "800"],
+        ["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
+    ],
+    ids=["non-finite", "overflow", "unwritable-out"],
+)
+def test_runtime_errors_exit_one_with_one_line(args, tmp_path, capsys):
+    rc = main([a.format(missing_dir=tmp_path / "missing") for a in args])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("localcheb: error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_json_output_refuses_non_finite_values():
+    with pytest.raises(ValueError):
+        cli._json_dumps({"value": float("nan")})
+
+
 def test_verify_single_suite_passes(capsys):
     rc = main(["verify", "--suite", "orthogonality"])
     out = capsys.readouterr().out

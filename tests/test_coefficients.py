@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from localcheb import coefficients
 from localcheb import (
     ChebKind,
     CoefficientSet,
@@ -22,8 +23,12 @@ from localcheb import (
     midpoint_limit_check,
     rule_thetas,
 )
+from localcheb.rules import TRANSFORM_CUTOFF
 
 ALL_KINDS = list(QuadKind)
+
+# node counts on both sides of the cutoff between exact sums and FFT, and two large ones
+FAST_PATH_NS = [TRANSFORM_CUTOFF - 1, TRANSFORM_CUTOFF, 1000, 4096]
 
 EXP = SampledFunction(math.exp)
 
@@ -33,8 +38,26 @@ REF_EXP_FIRST = [1.4710395815549175, 1.0323370759735493, 0.18918029384703683, 0.
 REF_EXP_SECOND = [1.376449434631399, 0.5044807835920988, 0.09350203515740682, 0.011606525505189815]
 
 
+def _family_weight(family: ChebKind, theta: float) -> float:
+    """w(theta) with |w P_k| <= 1 for every k: 1, sin, cos(theta/2), sin(theta/2)."""
+    return {
+        ChebKind.FIRST: 1.0,
+        ChebKind.SECOND: math.sin(theta),
+        ChebKind.THIRD: math.cos(0.5 * theta),
+        ChebKind.FOURTH: math.sin(0.5 * theta),
+    }[family]
+
+
 def test_interpolation_property():
-    """The coefficient series reproduces the samples at the rule's own nodes."""
+    """The coefficient series reproduces the samples at the rule's own nodes.
+
+    Near t = +-1 the U, V and W polynomials grow like 2k + 1, so at large n
+    the series magnifies the rounding of its coefficients there (1e-12 at
+    n = 4096, by either summation path).  The large-n cases therefore bound
+    the error times the family weight w, under which every P_k stays within
+    [-1, 1]; measured worst case 1.3e-14 (n = 63).  Above the cutoff, 64
+    spread nodes and the last one stand in for all n.
+    """
     iv = Interval(-0.5, 1.0)
     for kind in ALL_KINDS:
         n = 9
@@ -45,6 +68,15 @@ def test_interpolation_property():
             t = math.cos(float(th))
             x = affine_map(iv, t)
             assert cs.evaluate(t) == pytest.approx(math.exp(x), abs=1e-13), kind
+        for n in FAST_PATH_NS:
+            cs = discrete_coeffs(kind, EXP, iv, n)
+            assert len(cs.values) == n
+            thetas = rule_thetas(kind, n)
+            for j in sorted({*range(0, n, max(1, n // 64)), n - 1}):
+                th = float(thetas[j])
+                t = math.cos(th)
+                err = abs(cs.evaluate(t) - math.exp(affine_map(iv, t)))
+                assert err * _family_weight(cs.family, th) <= 1e-13, (kind, n, j)
 
 
 def test_polynomial_coefficients_match_basis_change_oracle():
@@ -52,6 +84,7 @@ def test_polynomial_coefficients_match_basis_change_oracle():
 
     The oracle expands the same polynomial through a triangular solve in the
     monomial basis, a completely different route than node projection.
+    Beyond the polynomial's degree every coefficient must vanish.
     """
     mono = [0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 0.25]
 
@@ -63,9 +96,41 @@ def test_polynomial_coefficients_match_basis_change_oracle():
 
     iv = Interval(-1.0, 1.0)
     for kind in ALL_KINDS:
-        cs = discrete_coeffs(kind, SampledFunction(f), iv, 7)
-        ref = oracles.family_expansion_of_poly(cs.family.value, mono)
-        assert cs.values == pytest.approx(ref, abs=2e-14), kind
+        for n in [7] + FAST_PATH_NS:
+            cs = discrete_coeffs(kind, SampledFunction(f), iv, n)
+            ref = oracles.family_expansion_of_poly(cs.family.value, mono)
+            assert cs.values[:7] == pytest.approx(ref, abs=2e-14), (kind, n)
+            assert max(map(abs, cs.values[7:]), default=0.0) < 2e-14, (kind, n)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_fft_coefficients_match_exact_sums(kind, monkeypatch):
+    """The FFT coefficients against the termwise exact sums, at the same n.
+
+    The gap is the exact path's own error: it rounds k * theta_j before
+    taking the cosine, which costs up to n eps per term.  Measured on
+    x|x| + e^x: at most 0.09 n eps max|f| (1.3e-13 at n = 4096).  Above the
+    cutoff, 32 spread degrees and the top three stand in for all n.
+    """
+    iv = Interval(-0.3, 0.8)
+    f = SampledFunction(lambda x: x * abs(x) + math.exp(x))
+    for n in FAST_PATH_NS:
+        thetas = rule_thetas(kind, n)
+        fvals = coefficients._sample_at_nodes(f, iv, thetas)
+        ks = range(n) if n <= TRANSFORM_CUTOFF else sorted({*range(0, n, n // 32), n - 3, n - 2, n - 1})
+        monkeypatch.setattr(coefficients, "TRANSFORM_CUTOFF", 1)
+        fast = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
+        monkeypatch.setattr(coefficients, "TRANSFORM_CUTOFF", n + 1)
+        exact = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
+        bound = 0.5 * n * np.finfo(float).eps * np.max(np.abs(fvals))
+        assert np.max(np.abs(fast - exact)) <= bound, n
+
+
+def test_non_finite_sample_names_the_node():
+    f = SampledFunction(lambda x: math.nan if x > 0.9 else x)
+    for n in (8, TRANSFORM_CUTOFF):
+        with pytest.raises(ValueError, match=r"non-finite sample nan at node 0 \(x = 0\.9"):
+            discrete_coeffs(QuadKind.FEJER_I, f, Interval(0.0, 1.0), n)
 
 
 def test_first_kind_alias_folding():

@@ -123,6 +123,16 @@ def test_evaluation_counts():
     assert res.evaluations == 45
 
 
+def test_non_finite_value_is_rejected():
+    iv = Interval(0.0, 1.0)
+    for value in (math.nan, math.inf):
+        f = SampledFunction(lambda x, value=value: value if x > 0.9 else x)
+        with pytest.raises(ValueError, match="not finite"):
+            integrate(QuadKind.FEJER_I, f, iv, 4)
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_composite(QuadKind.FEJER_I, f, Partition.equispaced(iv, 3), 4)
+
+
 def test_frozen_single_rule_value():
     # regression anchor for the whole integrate path
     f = power_abs_exp(0)
