@@ -112,6 +112,9 @@ def poly_fn(coeffs: Sequence[float]) -> TestFunction:
     cs = tuple(float(c) for c in coeffs)
     if not cs:
         raise ValueError("poly needs at least one coefficient")
+    for i, c in enumerate(cs):
+        if not math.isfinite(c):
+            raise ValueError(f"poly coefficient {i} is not finite: {c!r}")
 
     def f(x: float) -> float:
         acc = 0.0
@@ -198,18 +201,24 @@ def rate(value_coarse: float, value_fine: float) -> float:
     return math.log2(value_coarse / value_fine)
 
 
-def _eoc(e_prev: float, e_cur: float, h_prev: float, h_cur: float) -> float:
-    """Order estimate across one refinement step of any ratio.
+def _rated(
+    prev: tuple[float, float, bool] | None, value: float, h: float, floored: bool
+) -> float | None:
+    """Order estimate of value against the previous step's (value, h, floored).
 
-    Reduces to rate() for a halving step; the general form divides by the
-    log of the width ratio so non-dyadic schedules report the same order.
+    None on the first step, when either step sits below its floor, or when
+    the estimate is undefined.  A halving step goes through rate(); any
+    other ratio divides by the log of the width ratio, so non-dyadic
+    schedules report the same order.
     """
-    if e_prev <= 0.0 or e_cur <= 0.0:
-        return math.nan
-    ratio = h_prev / h_cur
-    if ratio == 2.0:
-        return rate(e_prev, e_cur)
-    return math.log(e_prev / e_cur) / math.log(ratio)
+    if prev is None or floored or prev[2]:
+        return None
+    pvalue, ph, _ = prev
+    if pvalue <= 0.0 or value <= 0.0:
+        return None
+    ratio = ph / h
+    r = rate(pvalue, value) if ratio == 2.0 else math.log(pvalue / value) / math.log(ratio)
+    return None if math.isnan(r) else r
 
 
 def theoretical_decay_rate(k: int, m: int | None) -> float:
@@ -362,12 +371,6 @@ def coefficient_decay_study(
         for k in k_list:
             mag = abs(cs.values[k])
             floored = mag < floor
-            ndr: float | None = None
-            if k in prev:
-                pmag, ph, pfloored = prev[k]
-                if not floored and not pfloored:
-                    r = _eoc(pmag, mag, ph, h)
-                    ndr = None if math.isnan(r) else r
             rows.append(
                 DecayRow(
                     family=family,
@@ -375,9 +378,9 @@ def coefficient_decay_study(
                     m=f.m,
                     k=k,
                     p=p,
-                    h=ShrinkSchedule.h(p),
+                    h=h,
                     coeff_abs=mag,
-                    ndr=ndr,
+                    ndr=_rated(prev.get(k), mag, h, floored),
                     tdr=theoretical_decay_rate(k, f.m),
                     floored=floored,
                 )
@@ -413,12 +416,6 @@ def quadrature_convergence_study(
             q = integrate(kind, f.sampled(), iv, n)
             err = abs(exact - q.value)
             floored = err < FLOOR_SCALE * (1.0 + abs(exact))
-            noc: float | None = None
-            if prev is not None:
-                perr, ph, pfloored = prev
-                if not floored and not pfloored:
-                    r = _eoc(perr, err, ph, h)
-                    noc = None if math.isnan(r) else r
             rows.append(
                 QuadRow(
                     rule=kind,
@@ -427,7 +424,7 @@ def quadrature_convergence_study(
                     p=p,
                     h=h,
                     error=err,
-                    noc=noc,
+                    noc=_rated(prev, err, h, floored),
                     toc=theoretical_order(kind, n, f.m),
                     floored=floored,
                 )
@@ -463,12 +460,6 @@ def composite_convergence_study(
         err = abs(exact - q.value)
         h = interval.h / p
         floored = err < floor
-        noc: float | None = None
-        if prev is not None:
-            perr, ph, pfloored = prev
-            if not floored and not pfloored:
-                r = _eoc(perr, err, ph, h)
-                noc = None if math.isnan(r) else r
         rows.append(
             QuadRow(
                 rule=kind,
@@ -477,7 +468,7 @@ def composite_convergence_study(
                 p=p,
                 h=h,
                 error=err,
-                noc=noc,
+                noc=_rated(prev, err, h, floored),
                 toc=theoretical_order(kind, n, f.m, composite=True),
                 floored=floored,
             )

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import re
 import sys
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .analysis import (
     ShrinkSchedule,
@@ -23,18 +21,11 @@ from .analysis import (
     merge_reports,
     quadrature_convergence_study,
     function_by_id,
-    trig_moment,
 )
-from .coefficients import kind_relations_check
-from .polynomials import ChebKind, Interval
+from .polynomials import Interval
 from .quadrature import Partition, integrate, integrate_composite
-from .rules import (
-    QuadKind,
-    closed_form_orthogonality,
-    family_for_rule,
-    make_rule,
-    rule_thetas,
-)
+from .rules import QuadKind, make_rule
+from .verify import SUITES
 
 __all__ = ["main"]
 
@@ -42,7 +33,17 @@ _RULE_CHOICES = [k.value for k in QuadKind]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits 1 (not 2) on usage errors."""
+    """argparse parser that exits 1 (not 2) on usage errors.
+
+    Values such as ``--a -1e-3`` are read as negative numbers, not as flags:
+    the stock pattern only knows ``-5`` and ``-.5``, so it is widened to
+    float syntax with an exponent.  Subparsers are built from this class and
+    inherit it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -164,141 +165,17 @@ def _cmd_study_quad(args) -> int:
 def _cmd_study_composite(args) -> int:
     fn = function_by_id(args.fn, args.m)
     iv = Interval(args.a, args.b)
-    ps = []
-    p = 1
-    while p <= args.p_max:
-        ps.append(p)
-        p *= 2
+    ps = ShrinkSchedule.doubling(args.p_max).p_values
     report = composite_convergence_study(QuadKind(args.rule), fn, args.n, iv, ps)
     _emit(report.to_csv(), args.out)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-
-
-def _family_matrix(family: ChebKind, thetas: np.ndarray, i_max: int) -> np.ndarray:
-    """Rows 0..i_max of the family evaluated at the given angles.
-
-    Quotient forms are safe here: callers only pass angles that are interior
-    for the quotient families (first-kind angles need no quotient at all).
-    """
-    i = np.arange(i_max + 1).reshape(-1, 1)
-    th = thetas.reshape(1, -1)
-    if family is ChebKind.FIRST:
-        return np.cos(i * th)
-    if family is ChebKind.SECOND:
-        return np.sin((i + 1) * th) / np.sin(th)
-    if family is ChebKind.THIRD:
-        return np.cos((i + 0.5) * th) / np.cos(0.5 * th)
-    return np.sin((i + 0.5) * th) / np.sin(0.5 * th)
-
-
-def _node_factors(kind: QuadKind, thetas: np.ndarray, n: int) -> np.ndarray:
-    if kind is QuadKind.FEJER_I:
-        return np.ones_like(thetas)
-    if kind is QuadKind.CLENSHAW_CURTIS:
-        g = np.ones(n)
-        g[0] = 2.0
-        g[-1] = 2.0
-        return 1.0 / g
-    if kind is QuadKind.FEJER_II:
-        return np.sin(thetas) ** 2
-    if kind is QuadKind.FEJER_III:
-        return 1.0 + np.cos(thetas)
-    return 1.0 - np.cos(thetas)
-
-
-def _suite_orthogonality() -> tuple[bool, str]:
-    """Node sums of P_i P_k against their closed forms, all kinds, n <= 16."""
-    worst = 0.0
-    worst_tol = math.inf
-    ok = True
-    for kind in QuadKind:
-        family = family_for_rule(kind)
-        for n in range(kind.min_nodes, 17):
-            thetas = rule_thetas(kind, n)
-            factors = _node_factors(kind, thetas, n)
-            vals = _family_matrix(family, thetas, 4 * n + 3)
-            tol = 1e-11 * n
-            for i in range(4 * n + 4):
-                vi = vals[i] * factors
-                for k in range(n):
-                    direct = math.fsum((vi * vals[k]).tolist())
-                    closed = closed_form_orthogonality(kind, n, i, k)
-                    diff = abs(direct - closed)
-                    if diff > worst:
-                        worst = diff
-                        worst_tol = tol
-                    if diff > tol:
-                        ok = False
-    return ok, f"max|direct-closed|={worst:.3e} (tol at worst case {worst_tol:.1e})"
-
-
-def _suite_exactness() -> tuple[bool, str]:
-    """Each n-point rule integrates degrees <= n-1 exactly on random intervals."""
-    rng = np.random.default_rng(271828)
-    intervals = []
-    while len(intervals) < 20:
-        lo, hi = np.sort(rng.uniform(-2.0, 2.0, size=2))
-        if hi - lo >= 0.25:
-            intervals.append(Interval(float(lo), float(hi)))
-    worst = 0.0
-    ok = True
-    for kind in QuadKind:
-        for n in range(kind.min_nodes, 13):
-            rule = make_rule(kind, n)
-            for iv in intervals:
-                half_h = 0.5 * iv.h
-                xs = np.array([half_h * t + iv.midpoint for t in rule.nodes])
-                for d in range(n):
-                    q = half_h * math.fsum((rule.weights * xs**d).tolist())
-                    exact = (iv.b ** (d + 1) - iv.a ** (d + 1)) / (d + 1)
-                    scale = (abs(iv.a) ** (d + 1) + abs(iv.b) ** (d + 1)) / (d + 1)
-                    rel = abs(q - exact) / scale
-                    worst = max(worst, rel)
-                    if rel > 1e-12:
-                        ok = False
-    return ok, f"max scaled error={worst:.3e} (tol 1e-12)"
-
-
-def _suite_kind_relations() -> tuple[bool, str]:
-    """Cross-family coefficient identities for e^x on [-0.5, 1]."""
-    fn = function_by_id("exp")
-    report = kind_relations_check(fn.sampled(), Interval(-0.5, 1.0), k_max=6, n_ref=8192)
-    ok = report.max_residual < 1e-10
-    return ok, f"max residual={report.max_residual:.3e} (tol 1e-10)"
-
-
-def _suite_trig_moments() -> tuple[bool, str]:
-    """sin^l cos^q x {cos,sin}(k t) moments vanish on [-pi,pi] for l+q < k."""
-    worst = 0.0
-    ok = True
-    for ell in range(5):
-        for q in range(5):
-            for k in range(ell + q + 1, 13):
-                for parity in (0, 1):
-                    v = abs(trig_moment(ell, q, k, parity))
-                    worst = max(worst, v)
-                    if v > 1e-10:
-                        ok = False
-    return ok, f"max |moment|={worst:.3e} (tol 1e-10)"
-
-
-_SUITES: dict[str, Callable[[], tuple[bool, str]]] = {
-    "orthogonality": _suite_orthogonality,
-    "exactness": _suite_exactness,
-    "kind-relations": _suite_kind_relations,
-    "trig-moments": _suite_trig_moments,
-}
-
-
 def _cmd_verify(args) -> int:
-    names = [args.suite] if args.suite else list(_SUITES)
+    names = [args.suite] if args.suite else list(SUITES)
     all_ok = True
     for name in names:
-        ok, detail = _SUITES[name]()
+        ok, detail = SUITES[name]()
         all_ok = all_ok and ok
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
     print(f"verify: {'PASS' if all_ok else 'FAIL'}")
@@ -376,7 +253,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_study_composite)
 
     sp = sub.add_parser("verify", help="run the property suites and report pass/fail")
-    sp.add_argument("--suite", choices=sorted(_SUITES), default=None)
+    sp.add_argument("--suite", choices=sorted(SUITES), default=None)
     sp.set_defaults(handler=_cmd_verify)
 
     return p

@@ -31,8 +31,10 @@ from .polynomials import (
 )
 from .rules import (
     TRANSFORM_CUTOFF,
+    _FAMILY,
     QuadKind,
     _closed_set_normalizers,
+    _node_factors,
     family_for_rule,
     rule_thetas,
 )
@@ -53,11 +55,9 @@ __all__ = [
 # magnitudes below this are flushed to exact zeros when coefficients are built
 SUBNORMAL_FLUSH = 1e-300
 
+# the open rule of each family; cc shares the first kind with f1
 _RULE_FOR_FAMILY = {
-    ChebKind.FIRST: QuadKind.FEJER_I,
-    ChebKind.SECOND: QuadKind.FEJER_II,
-    ChebKind.THIRD: QuadKind.FEJER_III,
-    ChebKind.FOURTH: QuadKind.FEJER_IV,
+    family: kind for kind, family in _FAMILY.items() if kind is not QuadKind.CLENSHAW_CURTIS
 }
 
 
@@ -176,10 +176,8 @@ def _coeff_values_direct(
     """One termwise inner product per degree, each reduced with math.fsum."""
     out: list[float] = []
     if kind in (QuadKind.FEJER_I, QuadKind.CLENSHAW_CURTIS):
-        if kind is QuadKind.CLENSHAW_CURTIS:
-            base = fvals / _closed_set_normalizers(n)
-        else:
-            base = fvals
+        # w_j is 1 or 1/2 here, so f_j * w_j is exact
+        base = fvals * _node_factors(kind, thetas)
         for k in ks:
             s = math.fsum((base * np.cos(k * thetas)).tolist())
             if kind is QuadKind.FEJER_I:

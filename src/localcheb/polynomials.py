@@ -64,6 +64,8 @@ class Interval:
             raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not (math.isfinite(self.b - self.a) and math.isfinite(self.a + self.b)):
+            raise ValueError(f"interval [{self.a}, {self.b}] is too wide for floating point")
 
     @property
     def h(self) -> float:

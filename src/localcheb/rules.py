@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .polynomials import ChebKind, eval_cheb, eval_cheb_trig, gamma, gamma_tilde
+from .polynomials import ChebKind, eval_cheb
 
 __all__ = [
     "QuadKind",
@@ -223,18 +223,35 @@ def make_rule(kind: QuadKind, n: int) -> QuadratureRule:
     )
 
 
-def _node_factor(kind: QuadKind, j: int, n: int, theta: float) -> float:
-    """Weight factor attached to node j in the rule's orthogonality sum."""
+def _family_matrix(family: ChebKind, thetas: np.ndarray, degrees) -> np.ndarray:
+    """P_i(cos theta_j) for each degree i (rows) and angle theta_j (columns).
+
+    Quotient forms are safe here: callers only pass rule angles, and every
+    rule's angles are interior for its matched family (first-kind angles need
+    no quotient at all).
+    """
+    i = np.asarray(degrees).reshape(-1, 1)
+    th = thetas.reshape(1, -1)
+    if family is ChebKind.FIRST:
+        return np.cos(i * th)
+    if family is ChebKind.SECOND:
+        return np.sin((i + 1) * th) / np.sin(th)
+    if family is ChebKind.THIRD:
+        return np.cos((i + 0.5) * th) / np.cos(0.5 * th)
+    return np.sin((i + 0.5) * th) / np.sin(0.5 * th)
+
+
+def _node_factors(kind: QuadKind, thetas: np.ndarray) -> np.ndarray:
+    """Node factor w(t_j) of discrete_orthogonality_sum at each angle (f2's 1 - t^2 as sin^2)."""
     if kind is QuadKind.FEJER_I:
-        return 1.0
+        return np.ones_like(thetas)
     if kind is QuadKind.CLENSHAW_CURTIS:
-        return 1.0 / gamma_tilde(j, n)
-    t = math.cos(theta)
+        return 1.0 / _closed_set_normalizers(thetas.size)
     if kind is QuadKind.FEJER_II:
-        return 1.0 - t * t
+        return np.sin(thetas) ** 2
     if kind is QuadKind.FEJER_III:
-        return 1.0 + t
-    return 1.0 - t
+        return 1.0 + np.cos(thetas)
+    return 1.0 - np.cos(thetas)
 
 
 def discrete_orthogonality_sum(kind: QuadKind, n: int, i: int, k: int) -> float:
@@ -248,15 +265,9 @@ def discrete_orthogonality_sum(kind: QuadKind, n: int, i: int, k: int) -> float:
     _check_n(kind, n)
     if i < 0 or k < 0:
         raise ValueError("polynomial indices must be nonnegative")
-    family = _FAMILY[kind]
     thetas = rule_thetas(kind, n)
-    terms = [
-        eval_cheb_trig(family, i, th)
-        * eval_cheb_trig(family, k, th)
-        * _node_factor(kind, j, n, th)
-        for j, th in enumerate((float(v) for v in thetas))
-    ]
-    return math.fsum(terms)
+    p_i, p_k = _family_matrix(_FAMILY[kind], thetas, [i, k])
+    return math.fsum((p_i * _node_factors(kind, thetas) * p_k).tolist())
 
 
 def _alias_hit(r: int, period: int) -> float:
@@ -303,26 +314,19 @@ def closed_form_orthogonality(kind: QuadKind, n: int, i: int, k: int) -> float:
 def lagrange_basis_eval(kind: QuadKind, n: int, j: int, t: float) -> float:
     """Evaluate the cardinal basis polynomial of node j at t.
 
-    Uses the finite family sum weighted by the rule's orthogonality norms
-    rather than node products, so one evaluation costs O(n).
+    Uses the finite family sum w(t_j) sum_k P_k(t_j) P_k(t) / N_k, where the
+    norms N_k are the diagonal closed forms, rather than node products, so
+    one evaluation costs O(n).
     """
     _check_n(kind, n)
     if not 0 <= j <= n - 1:
         raise ValueError(f"node index must lie in 0..{n - 1}, got {j}")
     thetas = rule_thetas(kind, n)
     family = _FAMILY[kind]
-    th_j = float(thetas[j])
-    factor = _node_factor(kind, j, n, th_j)
-    if kind is QuadKind.FEJER_I:
-        coefs = [gamma(k) / n for k in range(n)]
-    elif kind is QuadKind.CLENSHAW_CURTIS:
-        coefs = [2.0 * factor / ((n - 1.0) * gamma_tilde(k, n)) for k in range(n)]
-    elif kind is QuadKind.FEJER_II:
-        coefs = [2.0 * factor / (n + 1.0)] * n
-    else:
-        coefs = [factor / (n + 0.5)] * n
+    factor = float(_node_factors(kind, thetas)[j])
+    at_node = _family_matrix(family, thetas[j : j + 1], range(n))[:, 0].tolist()
     terms = [
-        coefs[k] * eval_cheb_trig(family, k, th_j) * eval_cheb(family, k, t)
+        factor * at_node[k] * eval_cheb(family, k, t) / closed_form_orthogonality(kind, n, k, k)
         for k in range(n)
     ]
     return math.fsum(terms)

@@ -47,7 +47,7 @@ from localcheb import (
     theoretical_decay_rate,
     trig_moment,
 )
-from localcheb.cli import _suite_exactness, _suite_orthogonality
+from localcheb.verify import SUITES
 
 PS = [2**j for j in range(11)]
 
@@ -230,14 +230,14 @@ def test_c04_coefficient_decay_by_regularity():
 
 def test_c05_discrete_orthogonality_property_suite():
     t0 = time.perf_counter()
-    passed, detail = _suite_orthogonality()
+    passed, detail = SUITES["orthogonality"]()
     elapsed = time.perf_counter() - t0
     ok = passed and elapsed < 2.0
     _check(5, ok, f"{detail}, n <= 16 all rules, {elapsed:.2f}s")
 
 
 def test_c06_interpolatory_exactness():
-    passed, detail = _suite_exactness()
+    passed, detail = SUITES["exactness"]()
     _check(6, passed, f"{detail}, all rules n <= 12, 20 random intervals")
 
 

@@ -136,6 +136,12 @@ def test_exp_fn_and_poly_fn():
         poly_fn([])
 
 
+@pytest.mark.parametrize("fn_id,index", [("poly:1,nan", 1), ("poly:inf", 0)])
+def test_poly_rejects_non_finite_coefficients(fn_id, index):
+    with pytest.raises(ValueError, match=f"poly coefficient {index} is not finite"):
+        function_by_id(fn_id)
+
+
 def test_function_id_dispatch():
     assert function_by_id("exp").fn_id == "exp"
     assert function_by_id("xm_abs_exp", 2).m == 2

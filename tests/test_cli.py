@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import localcheb.cli as cli
+import localcheb.verify as verify
 from localcheb.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -121,6 +122,17 @@ def test_usage_errors_exit_one():
     assert rc == 1
 
 
+@pytest.mark.parametrize("a", ["-1e-3", "-5E-1"])
+def test_negative_endpoint_in_scientific_notation(a, capsys):
+    args = ["quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--b", "1"]
+    rc = main(args + ["--a", a])
+    spaced = capsys.readouterr()
+    assert rc == 0, spaced.err
+    rc = main(args + [f"--a={a}"])
+    assert rc == 0
+    assert spaced.out == capsys.readouterr().out
+
+
 def test_input_errors_exit_one(capsys):
     # both node-count flags at once
     rc = main(["study-quad", "--rule", "f1", "--n", "4", "--n-range", "2..5", "--m", "0"])
@@ -164,17 +176,18 @@ def test_json_output_refuses_non_finite_values():
         cli._json_dumps({"value": float("nan")})
 
 
-def test_verify_single_suite_passes(capsys):
-    rc = main(["verify", "--suite", "orthogonality"])
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_single_suite_passes(suite, capsys):
+    rc = main(["verify", "--suite", suite])
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("orthogonality: PASS")
+    assert lines[0].startswith(f"{suite}: PASS")
     assert lines[-1] == "verify: PASS"
 
 
 def test_verify_failure_exits_two(monkeypatch, capsys):
-    monkeypatch.setitem(cli._SUITES, "orthogonality", lambda: (False, "forced failure"))
+    monkeypatch.setitem(verify.SUITES, "orthogonality", lambda: (False, "forced failure"))
     rc = main(["verify", "--suite", "orthogonality"])
     out = capsys.readouterr().out
     assert rc == 2

@@ -136,6 +136,14 @@ def test_interval_basics():
         Interval(0.0, math.inf)
 
 
+def test_interval_rejects_overflowing_width():
+    # finite endpoints whose length (or midpoint) is not a finite float
+    with pytest.raises(ValueError, match="too wide"):
+        Interval(-1e308, 1e308)
+    with pytest.raises(ValueError, match="too wide"):
+        Interval(1e308, 1.7e308)
+
+
 def test_affine_map_endpoints_and_roundtrip():
     iv = Interval(-0.5, 1.0)
     assert affine_map(iv, -1.0) == -0.5
