@@ -224,8 +224,10 @@ def _coeff_values(
 
 
 def _sample_at_nodes(f: SampledFunction, interval: Interval, thetas: np.ndarray) -> np.ndarray:
-    xs = [affine_map(interval, math.cos(float(th))) for th in thetas]
-    fvals = np.array([float(f.evaluator(x)) for x in xs])
+    # math.cos, not np.cos: numpy's cosine is not guaranteed to round the same way
+    evaluator = f.evaluator
+    xs = [affine_map(interval, math.cos(th)) for th in thetas.tolist()]
+    fvals = np.array([float(evaluator(x)) for x in xs])
     finite = np.isfinite(fvals)
     if not finite.all():
         j = int(np.argmin(finite))

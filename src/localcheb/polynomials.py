@@ -78,22 +78,32 @@ class Interval:
 
 
 def clamp_reference(t: float) -> float:
-    """Snap t to [-1, 1], allowing round-off spill of at most REFERENCE_BAND."""
-    if abs(t) > 1.0 + REFERENCE_BAND:
+    """Snap t to [-1, 1], allowing round-off spill of at most REFERENCE_BAND.
+
+    A t already in [-1, 1] is returned as is; NaN is a domain error.
+    """
+    if -1.0 <= t <= 1.0:
+        return t
+    if not abs(t) <= 1.0 + REFERENCE_BAND:
         raise ValueError(f"reference coordinate {t!r} lies outside [-1, 1]")
     return min(1.0, max(-1.0, t))
 
 
 def affine_map(interval: Interval, t: float) -> float:
-    """Map the reference coordinate t in [-1, 1] onto [a, b]."""
+    """Map the reference coordinate t in [-1, 1] onto [a, b].
+
+    Called once per sampled node, so it reads the endpoints directly; the
+    expression is 0.5 * h * t + midpoint in the same order, bit for bit.
+    """
     t = clamp_reference(t)
-    return 0.5 * interval.h * t + interval.midpoint
+    a, b = interval.a, interval.b
+    return 0.5 * (b - a) * t + 0.5 * (a + b)
 
 
 def affine_inverse(interval: Interval, x: float) -> float:
     """Map x in [a, b] back to the reference coordinate in [-1, 1]."""
     band = REFERENCE_BAND * max(1.0, abs(interval.a), abs(interval.b))
-    if x < interval.a - band or x > interval.b + band:
+    if not interval.a - band <= x <= interval.b + band:
         raise ValueError(f"{x!r} lies outside [{interval.a}, {interval.b}]")
     x = min(interval.b, max(interval.a, x))
     t = (2.0 * x - interval.a - interval.b) / interval.h
@@ -143,7 +153,7 @@ def eval_cheb_trig(kind: ChebKind, degree: int, theta: float) -> float:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if theta < -REFERENCE_BAND or theta > math.pi + REFERENCE_BAND:
+    if not -REFERENCE_BAND <= theta <= math.pi + REFERENCE_BAND:
         raise ValueError(f"angle {theta!r} lies outside [0, pi]")
     theta = min(math.pi, max(0.0, theta))
     n = degree

@@ -118,3 +118,25 @@ def continuous_coeff_quad(label: str, f, interval, k: int) -> float:
 
 def simpson_value(f, a: float, b: float) -> float:
     return (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
+
+
+def composite_reference(kind, f, a: float, b: float, pieces: int, n: int) -> float:
+    """Composite quadrature written out term by term, for bit-for-bit comparison.
+
+    Equispaced breakpoints with exact ends, each rule node mapped by
+    0.5 * (hi - lo) * t + 0.5 * (lo + hi), one math.fsum per patch scaled by
+    half the patch width, and one math.fsum over the patches.
+    """
+    from localcheb import make_rule
+
+    rule = make_rule(kind, n)
+    bp = [a + (b - a) * (i / pieces) for i in range(pieces + 1)]
+    bp[0], bp[-1] = a, b
+    sums = []
+    for lo, hi in zip(bp, bp[1:]):
+        terms = []
+        for t, w in zip(rule.nodes, rule.weights):
+            x = 0.5 * (hi - lo) * float(t) + 0.5 * (lo + hi)
+            terms.append(float(w) * float(f(x)))
+        sums.append(0.5 * (hi - lo) * math.fsum(terms))
+    return math.fsum(sums)

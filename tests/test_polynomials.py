@@ -124,6 +124,12 @@ def test_clamp_reference_band():
         clamp_reference(-1.01)
 
 
+def test_clamp_reference_rejects_nan():
+    # min/max would turn NaN into the endpoint -1
+    with pytest.raises(ValueError, match="nan"):
+        clamp_reference(math.nan)
+
+
 def test_interval_basics():
     iv = Interval(-0.5, 1.0)
     assert iv.h == 1.5
@@ -158,6 +164,11 @@ def test_affine_map_endpoints_and_roundtrip():
     assert affine_inverse(iv, 1.0 + 1e-13) == 1.0
 
 
+def test_affine_inverse_rejects_nan():
+    with pytest.raises(ValueError, match="nan"):
+        affine_inverse(Interval(-0.5, 1.0), math.nan)
+
+
 def test_gamma_normalizers():
     assert gamma(0) == 1
     assert gamma(1) == 2
@@ -185,3 +196,9 @@ def test_domain_errors():
         eval_cheb_trig(ChebKind.SECOND, 2, -0.5)
     with pytest.raises(ValueError):
         eval_cheb_trig(ChebKind.SECOND, 2, math.pi + 0.5)
+
+
+def test_eval_cheb_trig_rejects_nan():
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="nan"):
+            eval_cheb_trig(kind, 3, math.nan)

@@ -90,6 +90,26 @@ def test_single_patch_composite_is_bit_identical():
         assert split == whole  # same code path, exactly
 
 
+@pytest.mark.parametrize("kind", list(QuadKind), ids=lambda k: k.value)
+def test_composite_matches_reference_sum_bit_for_bit(kind):
+    fns = [math.exp, power_abs_exp(0).evaluator, power_abs_exp(3).evaluator]
+    for a, b in ((-0.5, 1.0), (3.0, 7.25)):
+        for n in (2, 5, 8, 16):
+            for pieces in (1, 3, 64, 4097):
+                part = Partition.equispaced(Interval(a, b), pieces)
+                for f in fns:
+                    got = integrate_composite(kind, SampledFunction(f), part, n).value
+                    assert got == oracles.composite_reference(kind, f, a, b, pieces, n), (
+                        a, b, n, pieces, f)
+
+
+def test_composite_keeps_per_patch_overflow_check():
+    # the second patch's midpoint overflows; only its Interval sees that
+    part = Partition.equispaced(Interval(-1.7e308, 1e-300), 2)
+    with pytest.raises(ValueError, match="too wide"):
+        integrate_composite(QuadKind.FEJER_I, EXP, part, 4)
+
+
 def test_composite_error_shrinks_at_the_expected_order():
     # trapezoid-like cc n=2 is second order: 8x the patches, ~64x the accuracy
     iv = Interval(-0.5, 1.0)
@@ -160,3 +180,8 @@ def test_interpolant_eval_exact_on_low_degree_polynomial():
     _, ys = interpolant_eval(QuadKind.CLENSHAW_CURTIS, SampledFunction(f), iv, 4, xs)
     for x, y in zip(xs, ys):
         assert y == pytest.approx(f(x), abs=1e-13)
+
+
+def test_interpolant_eval_rejects_nan_point():
+    with pytest.raises(ValueError, match="nan"):
+        interpolant_eval(QuadKind.FEJER_I, EXP, Interval(-0.5, 1.0), 8, [math.nan])
