@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage or input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,9 +28,17 @@ from .quadrature import Partition, integrate, integrate_composite
 from .rules import QuadKind, make_rule
 from .verify import SUITES
 
-__all__ = ["main"]
+__all__ = ["MAX_NODES", "MAX_PATCHES", "main"]
 
 _RULE_CHOICES = [k.value for k in QuadKind]
+
+# Largest node count accepted by --n and --n-range, and largest index by
+# --k-range; 16x the largest the benchmark runs (4096), and 8x the largest
+# reference rule any test builds (8192).
+MAX_NODES = 2**16
+# Largest --patches and --p-max; a composite run costs n evaluations per
+# patch.  16x the largest patch count the benchmark runs (65536).
+MAX_PATCHES = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,8 +58,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_range(text: str, what: str) -> list[int]:
-    """Parse 'LO..HI' (inclusive) into a list of ints."""
+def _parse_range(text: str, what: str, limit: int | None = None) -> list[int]:
+    """Parse 'LO..HI' (inclusive) into a list of ints, with HI at most limit."""
     parts = text.split("..")
     if len(parts) != 2:
         raise ValueError(f"{what} must look like LO..HI, got {text!r}")
@@ -60,6 +69,8 @@ def _parse_range(text: str, what: str) -> list[int]:
         raise ValueError(f"{what} bounds must be integers, got {text!r}") from exc
     if hi < lo:
         raise ValueError(f"{what} upper bound below lower bound in {text!r}")
+    if limit is not None and hi > limit:
+        raise ValueError(f"{what} upper bound must be at most {limit}, got {hi}")
     return list(range(lo, hi + 1))
 
 
@@ -85,11 +96,9 @@ def _cmd_nodes(args) -> int:
         _emit(_json_dumps(rule.to_json_dict()), args.out)
     else:
         lines = ["j,theta,node,weight"]
-        for j in range(rule.n):
-            lines.append(
-                f"{j},{format(rule.thetas[j], '.17g')},"
-                f"{format(rule.nodes[j], '.17g')},{format(rule.weights[j], '.17g')}"
-            )
+        columns = zip(rule.thetas.tolist(), rule.nodes.tolist(), rule.weights.tolist())
+        for j, (theta, node, weight) in enumerate(columns):
+            lines.append(f"{j},{theta:.17g},{node:.17g},{weight:.17g}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -133,7 +142,7 @@ def _cmd_quad(args) -> int:
 
 def _cmd_study_decay(args) -> int:
     fn = function_by_id(args.fn, args.m)
-    ks = _parse_range(args.k_range, "--k-range") if args.k_range else range(1, args.n)
+    ks = _parse_range(args.k_range, "--k-range", MAX_NODES) if args.k_range else range(1, args.n)
     schedule = ShrinkSchedule.doubling(args.p_max)
     report = coefficient_decay_study(QuadKind(args.rule), fn, args.n, ks, schedule)
     _emit(report.to_csv(), args.out)
@@ -143,7 +152,7 @@ def _cmd_study_decay(args) -> int:
 def _cmd_study_quad(args) -> int:
     if (args.n is None) == (args.n_range is None):
         raise ValueError("give exactly one of --n or --n-range")
-    ns = [args.n] if args.n is not None else _parse_range(args.n_range, "--n-range")
+    ns = [args.n] if args.n is not None else _parse_range(args.n_range, "--n-range", MAX_NODES)
     if args.fn == "xm_abs_exp":
         if (args.m is None) == (args.m_range is None):
             raise ValueError("give exactly one of --m or --m-range")
@@ -192,7 +201,12 @@ def _add_fn_args(sp, fn_required: bool, fn_default: str | None = None) -> None:
     sp.add_argument("--m", type=int, default=None, help="regularity parameter for xm_abs_exp")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, assembled on first use and then reused.
+
+    Parsing leaves it unchanged, so one instance serves every main() call.
+    """
     p = _Parser(prog="localcheb", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="command", required=True)
 
@@ -259,10 +273,20 @@ def _build_parser() -> _Parser:
     return p
 
 
+_LIMITS = (("n", MAX_NODES), ("patches", MAX_PATCHES), ("p_max", MAX_PATCHES))
+
+
+def _check_limits(args) -> None:
+    for dest, limit in _LIMITS:
+        value = getattr(args, dest, None)
+        if value is not None and value > limit:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at most {limit}, got {value}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _check_limits(args)
         return args.handler(args)
     except OverflowError as exc:
         print(f"localcheb: error: numeric overflow ({exc})", file=sys.stderr)

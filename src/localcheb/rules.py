@@ -19,7 +19,9 @@ the two can be cross-checked against each other.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -201,18 +203,29 @@ class QuadratureRule:
         return {
             "kind": self.kind.value,
             "n": self.n,
-            "thetas": [float(v) for v in self.thetas],
-            "nodes": [float(v) for v in self.nodes],
-            "weights": [float(v) for v in self.weights],
+            "thetas": self.thetas.tolist(),
+            "nodes": self.nodes.tolist(),
+            "weights": self.weights.tolist(),
         }
 
 
 def make_rule(kind: QuadKind, n: int) -> QuadratureRule:
-    """Construct the n-point rule of the given kind.
+    """The n-point rule of the given kind, built once per process.
 
-    n must be at least 1 (2 for Clenshaw-Curtis, whose node set contains both
-    endpoints).
+    n must be an integer (int or a numpy integer, not bool or float) and at
+    least 1 (2 for Clenshaw-Curtis, whose node set contains both endpoints).
+    The result is a shared, immutable instance from a cache of the 128 most
+    recently used rules, enough for every rule a full paper sweep touches;
+    repeated calls with the same kind and n return the same object.  Invalid
+    arguments raise on every call: errors are not cached.
     """
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise TypeError(f"node count n must be an integer, got {n!r}")
+    return _build_rule(kind, operator.index(n))
+
+
+@functools.lru_cache(maxsize=128)
+def _build_rule(kind: QuadKind, n: int) -> QuadratureRule:
     thetas = rule_thetas(kind, n)
     return QuadratureRule(
         kind=kind,

@@ -171,6 +171,48 @@ def test_runtime_errors_exit_one_with_one_line(args, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["nodes", "--rule", "f1", "--n", str(cli.MAX_NODES + 1)],
+        ["quad", "--rule", "cc", "--n", "4", "--patches", str(cli.MAX_PATCHES + 1),
+         "--fn", "exp", "--a", "0", "--b", "1"],
+        ["study-decay", "--rule", "f1", "--n", "8", "--m", "4", "--p-max", str(cli.MAX_PATCHES + 1)],
+        ["study-quad", "--rule", "f1", "--n-range", f"2..{cli.MAX_NODES + 1}", "--m", "0"],
+        ["study-decay", "--rule", "f1", "--n", "8", "--m", "4", "--k-range", f"1..{cli.MAX_NODES + 1}"],
+    ],
+    ids=["n", "patches", "p-max", "n-range", "k-range"],
+)
+def test_size_limits_exit_one_with_one_line(args, capsys):
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("localcheb: error:")
+    assert "must be at most" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_reused_parser_does_not_leak_arguments(capsys):
+    args = ["quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "0", "--b", "1"]
+    assert main(args + ["--patches", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["patches"] == 7
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["patches"] == 1
+
+
+def test_usage_error_between_calls_changes_nothing(capsys):
+    args = ["nodes", "--rule", "f2", "--n", "5", "--json"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["nodes", "--rule", "banana", "--n", "4", "--json"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_json_output_refuses_non_finite_values():
     with pytest.raises(ValueError):
         cli._json_dumps({"value": float("nan")})

@@ -1,5 +1,6 @@
 """Rule construction: nodes, weights, orthogonality sums, cardinal basis."""
 
+import json
 import math
 
 import numpy as np
@@ -126,11 +127,48 @@ def test_fft_weights_match_exact_sums(kind, monkeypatch):
     Measured gap: at most 7.7e-17 for 63 <= n <= 16384 (f3, n = 63).
     """
     for n in FAST_PATH_NS:
+        # rules._weights, not make_rule: the rule cache would return the first
+        # rule for the second cutoff and compare it with itself
+        thetas = rule_thetas(kind, n)
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", 1)
-        fast = make_rule(kind, n).weights
+        fast = rules._weights(kind, n, thetas)
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", n + 1)
-        exact = make_rule(kind, n).weights
+        exact = rules._weights(kind, n, thetas)
         assert np.max(np.abs(fast - exact)) <= 2e-16, n
+
+
+def test_make_rule_returns_one_shared_rule():
+    for kind in ALL_KINDS:
+        assert make_rule(kind, 8) is make_rule(kind, 8)
+
+
+def test_cached_rules_equal_fresh_builds_bit_for_bit():
+    build = rules._build_rule.__wrapped__
+    for kind in ALL_KINDS:
+        for n in range(kind.min_nodes, 71):
+            cached, fresh = make_rule(kind, n), build(kind, n)
+            assert cached is not fresh
+            for name in ("thetas", "nodes", "weights"):
+                assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), (kind, n, name)
+
+
+def test_invalid_rule_request_raises_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            make_rule(QuadKind.CLENSHAW_CURTIS, 1)
+
+
+def test_numpy_integer_node_count_gives_the_int_rule():
+    rule = make_rule(QuadKind.FEJER_I, np.int64(8))
+    assert type(rule.n) is int
+    assert rule is make_rule(QuadKind.FEJER_I, 8)
+    assert json.loads(json.dumps(rule.to_json_dict()))["n"] == 8
+
+
+@pytest.mark.parametrize("n", [8.0, True], ids=["float", "bool"])
+def test_non_integer_node_count_is_a_type_error(n):
+    with pytest.raises(TypeError, match="node count n must be an integer"):
+        make_rule(QuadKind.FEJER_I, n)
 
 
 def sum_endpoint(label, k, t):
