@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -490,9 +490,19 @@ def merge_reports(*reports: StudyReport) -> StudyReport:
     return StudyReport(study, tuple(rows))
 
 
-def trig_moment(
-    ell: int, q: int, k: int, parity: int, num_points: int | None = None
-) -> float:
+def _powers(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """base ** e for every e in exps, stacked in exps' shape ahead of base's axis.
+
+    Each distinct power is taken with e as a Python number, as a scalar call
+    would take it: an exponent array would skip numpy's fast path for e = 2
+    (a square, which can differ from pow(x, 2.0) in the last bit).
+    """
+    flat = exps.ravel().tolist()
+    table = {e: base**e for e in set(flat)}
+    return np.stack([table[e] for e in flat]).reshape(exps.shape + base.shape)
+
+
+def trig_moment(ell: Any, q: Any, k: Any, parity: Any, num_points: int | None = None) -> Any:
     """Trapezoid estimate of the moment sin^ell(t) cos^q(t) x {cos,sin}(k t) on [-pi, pi].
 
     parity 0 pairs with cos(k t), parity 1 with sin(k t).  The moment vanishes
@@ -501,15 +511,27 @@ def trig_moment(
     with N intervals on a full period is exact below frequency N (Trefethen
     & Weideman, SIAM Rev. 56, 2014), so the default num_points,
     ell + q + k + 2 (N = ell + q + k + 1 intervals), already gives the exact
-    moment up to rounding.
+    moment up to rounding.  num_points must be at least 2: fewer points
+    span no interval and would report a vanishing moment for any integrand.
+
+    ell, q, k and parity may also be integer arrays that broadcast together.
+    The result is then an array of that shape, every moment taken on one
+    grid whose default, max(ell + q + k) + 2 points, is exact for all of
+    them; each moment equals its scalar call on the same grid bit for bit.
+    Scalar arguments give a Python float.
     """
-    if parity not in (0, 1):
+    ell, q, k, parity = np.broadcast_arrays(ell, q, k, parity)
+    if not np.all((parity == 0) | (parity == 1)):
         raise ValueError("parity must be 0 or 1")
-    if ell < 0 or q < 0 or k < 0:
+    if np.any(ell < 0) or np.any(q < 0) or np.any(k < 0):
         raise ValueError("ell, q, k must be nonnegative")
     if num_points is None:
-        num_points = ell + q + k + 2
+        num_points = int(np.max(ell + q + k)) + 2
+    if num_points < 2:
+        raise ValueError(f"num_points must be at least 2, got {num_points}")
     ts = np.linspace(-math.pi, math.pi, num_points)
-    osc = np.cos(k * ts) if parity == 0 else np.sin(k * ts)
-    ys = np.sin(ts) ** ell * np.cos(ts) ** q * osc
-    return float(np.trapezoid(ys, ts))
+    kt = k[..., None] * ts
+    osc = np.where(parity[..., None] == 0, np.cos(kt), np.sin(kt))
+    ys = _powers(np.sin(ts), ell) * _powers(np.cos(ts), q) * osc
+    moments = np.trapezoid(ys, ts, axis=-1)
+    return float(moments) if moments.ndim == 0 else moments

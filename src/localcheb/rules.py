@@ -80,9 +80,46 @@ def family_for_rule(kind: QuadKind) -> ChebKind:
 TRANSFORM_CUTOFF = 64
 
 
-def _check_n(kind: QuadKind, n: int) -> None:
+def _integers(value: Any, name: str) -> Any:
+    """value itself if it is an integer or an integer array; TypeError otherwise.
+
+    bool, float and float arrays are refused even where they hold whole
+    numbers, so a size or an index is never truncated or taken as a flag.
+    """
+    if isinstance(value, np.ndarray):
+        ok = value.dtype.kind in "iu"
+    else:
+        ok = not isinstance(value, bool) and hasattr(type(value), "__index__")
+    if not ok:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_n(kind: QuadKind, n: Any) -> int:
+    """n as an int of at least kind.min_nodes; TypeError or ValueError otherwise."""
+    n = operator.index(_integers(n, "node count n"))
     if n < kind.min_nodes:
         raise ValueError(f"rule {kind.value} needs n >= {kind.min_nodes}, got {n}")
+    return n
+
+
+def _check_index(value: Any, name: str, top: int | None = None) -> Any:
+    """An integer or integer array within 0..top, as an int or an int64 array.
+
+    top None means no upper bound.  Non-integers raise TypeError, values
+    out of range ValueError.  The conversion keeps index arithmetic below 0
+    from wrapping around, as it would in unsigned numpy integers.
+    """
+    value = _integers(value, name)
+    if isinstance(value, np.ndarray):
+        value = value.astype(np.int64, casting="safe", copy=False)
+    else:
+        value = operator.index(value)
+    inside = value >= 0 if top is None else (value >= 0) & (value <= top)
+    if not (inside if isinstance(inside, bool) else inside.all()):
+        bound = "be nonnegative" if top is None else f"lie in 0..{top}"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
 
 
 def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
@@ -91,7 +128,7 @@ def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
     Exposed separately from make_rule because sampling-only uses (coefficient
     computation) need the angles but not the weight construction.
     """
-    _check_n(kind, n)
+    n = _check_n(kind, n)
     j = np.arange(n, dtype=float)
     if kind is QuadKind.FEJER_I:
         return (2.0 * j + 1.0) * (math.pi / (2.0 * n))
@@ -219,9 +256,7 @@ def make_rule(kind: QuadKind, n: int) -> QuadratureRule:
     repeated calls with the same kind and n return the same object.  Invalid
     arguments raise on every call: errors are not cached.
     """
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise TypeError(f"node count n must be an integer, got {n!r}")
-    return _build_rule(kind, operator.index(n))
+    return _build_rule(kind, _check_n(kind, n))
 
 
 @functools.lru_cache(maxsize=128)
@@ -275,25 +310,25 @@ def discrete_orthogonality_sum(kind: QuadKind, n: int, i: int, k: int) -> float:
     Polynomial values are taken in the angle domain to avoid an arccos
     round-trip.
     """
-    _check_n(kind, n)
-    if i < 0 or k < 0:
-        raise ValueError("polynomial indices must be nonnegative")
+    n = _check_n(kind, n)
+    i = operator.index(_check_index(i, "index i"))
+    k = operator.index(_check_index(k, "index k"))
     thetas = rule_thetas(kind, n)
     p_i, p_k = _family_matrix(_FAMILY[kind], thetas, [i, k])
     return math.fsum((p_i * _node_factors(kind, thetas) * p_k).tolist())
 
 
-def _alias_hit(r: int, period: int) -> float:
-    return 1.0 if r % period == 0 else 0.0
+def _alias_hit(r: Any, period: int) -> Any:
+    """1 where r is a multiple of period, else 0, for an int or an integer array r."""
+    return (r % period == 0) * 1
 
 
-def _signed_alias_hit(r: int, period: int) -> float:
-    if r % period != 0:
-        return 0.0
-    return -1.0 if (r // period) % 2 else 1.0
+def _signed_alias_hit(r: Any, period: int) -> Any:
+    """_alias_hit, negated where r // period is odd."""
+    return (r % period == 0) * (1 - 2 * (r // period % 2))
 
 
-def closed_form_orthogonality(kind: QuadKind, n: int, i: int, k: int) -> float:
+def closed_form_orthogonality(kind: QuadKind, n: int, i: Any, k: Any) -> Any:
     """Predicted value of discrete_orthogonality_sum(kind, n, i, k) for 0 <= k <= n-1.
 
     Off the diagonal the sum vanishes unless i aliases k across the node
@@ -301,27 +336,35 @@ def closed_form_orthogonality(kind: QuadKind, n: int, i: int, k: int) -> float:
     signed.  Both alias branches (index difference and index sum) are
     accumulated, which matters in the corner where both fire at once
     (e.g. k = 0 with i a nonzero multiple of 2n on f1 nodes).
+
+    i and k may be integers or integer arrays.  Arrays broadcast against each
+    other, so ``closed_form_orthogonality(kind, n, i[:, None], k)`` gives the
+    whole table at once and ``closed_form_orthogonality(kind, n, k, k)`` the
+    norms; the result is then a float array of the broadcast shape.  Two
+    integers give a Python float.  The values are small integer multiples of
+    n/2, n+1/2 and the like, so they are exact either way.
     """
-    _check_n(kind, n)
-    if i < 0:
-        raise ValueError("index i must be nonnegative")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"index k must lie in 0..{n - 1}, got {k}")
+    n = _check_n(kind, n)
+    i = _check_index(i, "index i")
+    k = _check_index(k, "index k", n - 1)
     if kind is QuadKind.FEJER_I:
         period = 2 * n
-        return 0.5 * n * (_signed_alias_hit(i - k, period) + _signed_alias_hit(i + k, period))
-    if kind is QuadKind.CLENSHAW_CURTIS:
+        out = 0.5 * n * (_signed_alias_hit(i - k, period) + _signed_alias_hit(i + k, period))
+    elif kind is QuadKind.CLENSHAW_CURTIS:
         period = 2 * (n - 1)
-        return 0.5 * (n - 1) * (_alias_hit(i - k, period) + _alias_hit(i + k, period))
-    if kind is QuadKind.FEJER_II:
+        out = 0.5 * (n - 1) * (_alias_hit(i - k, period) + _alias_hit(i + k, period))
+    elif kind is QuadKind.FEJER_II:
         period = 2 * (n + 1)
-        return 0.5 * (n + 1) * (_alias_hit(i - k, period) - _alias_hit(i + k + 2, period))
-    period = 2 * n + 1
-    if kind is QuadKind.FEJER_III:
-        return (n + 0.5) * (
+        out = 0.5 * (n + 1) * (_alias_hit(i - k, period) - _alias_hit(i + k + 2, period))
+    elif kind is QuadKind.FEJER_III:
+        period = 2 * n + 1
+        out = (n + 0.5) * (
             _signed_alias_hit(i - k, period) + _signed_alias_hit(i + k + 1, period)
         )
-    return (n + 0.5) * (_alias_hit(i - k, period) - _alias_hit(i + k + 1, period))
+    else:
+        period = 2 * n + 1
+        out = (n + 0.5) * (_alias_hit(i - k, period) - _alias_hit(i + k + 1, period))
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def lagrange_basis_eval(kind: QuadKind, n: int, j: int, t: float) -> float:
@@ -331,15 +374,13 @@ def lagrange_basis_eval(kind: QuadKind, n: int, j: int, t: float) -> float:
     norms N_k are the diagonal closed forms, rather than node products, so
     one evaluation costs O(n).
     """
-    _check_n(kind, n)
-    if not 0 <= j <= n - 1:
-        raise ValueError(f"node index must lie in 0..{n - 1}, got {j}")
+    n = _check_n(kind, n)
+    j = operator.index(_check_index(j, "node index j", n - 1))
     thetas = rule_thetas(kind, n)
     family = _FAMILY[kind]
     factor = float(_node_factors(kind, thetas)[j])
     at_node = _family_matrix(family, thetas[j : j + 1], range(n))[:, 0].tolist()
-    terms = [
-        factor * at_node[k] * eval_cheb(family, k, t) / closed_form_orthogonality(kind, n, k, k)
-        for k in range(n)
-    ]
+    ks = np.arange(n)
+    norms = closed_form_orthogonality(kind, n, ks, ks).tolist()
+    terms = [factor * at_node[k] * eval_cheb(family, k, t) / norms[k] for k in range(n)]
     return math.fsum(terms)

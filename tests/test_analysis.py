@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
@@ -280,3 +281,26 @@ def test_trig_moment_values():
         trig_moment(1, 1, 3, 2)
     with pytest.raises(ValueError):
         trig_moment(-1, 0, 3, 0)
+
+
+@pytest.mark.parametrize("num_points", [0, 1])
+def test_trig_moment_needs_two_points(num_points):
+    # one point spans no interval, so the trapezoid sum would read 0 for any integrand
+    with pytest.raises(ValueError, match="num_points must be at least 2"):
+        trig_moment(0, 0, 0, 0, num_points)
+    assert trig_moment(0, 0, 0, 0, 2) == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+
+def test_trig_moment_arrays_match_scalar_calls():
+    # a batch on one grid equals the scalar calls on that grid, bit for bit;
+    # ell, q, k range over the verify suite's cases
+    ell, q, k = (g[..., None] for g in np.meshgrid(range(5), range(5), range(13), indexing="ij"))
+    parity = np.array([0, 1])
+    for num_points in (None, 17, 40):
+        got = trig_moment(ell, q, k, parity, num_points)
+        grid = num_points or 22
+        want = [trig_moment(a, b, c, p, grid)
+                for a, b, c in zip(ell.ravel().tolist(), q.ravel().tolist(), k.ravel().tolist())
+                for p in (0, 1)]
+        assert got.shape == (5, 5, 13, 2)
+        assert got.tobytes() == np.array(want).tobytes(), num_points

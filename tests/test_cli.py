@@ -228,6 +228,12 @@ def test_verify_single_suite_passes(suite, capsys):
     assert lines[-1] == "verify: PASS"
 
 
+def test_verify_output_matches_golden(capsys):
+    # every suite's worst residual, printed digit for digit
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / "verify.txt").read_bytes()
+
+
 def test_verify_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setitem(verify.SUITES, "orthogonality", lambda: (False, "forced failure"))
     rc = main(["verify", "--suite", "orthogonality"])

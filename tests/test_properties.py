@@ -5,6 +5,7 @@ deterministic.
 """
 
 import math
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,12 +15,16 @@ from localcheb import (
     Partition,
     QuadKind,
     SampledFunction,
+    affine_map,
     clamp_reference,
+    discrete_coeffs,
     integrate,
     integrate_composite,
+    rule_thetas,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None)
+EPS = sys.float_info.epsilon
 
 
 def smooth(x: float) -> float:
@@ -67,3 +72,30 @@ def test_evaluator_runs_once_per_node_and_patch(iv, rule, pieces):
 @example(-0.0)
 def test_clamp_reference_returns_in_range_values_unchanged(t):
     assert clamp_reference(t) is t
+
+
+@PROPERTY
+@given(intervals(), rules(), st.data())
+def test_rules_integrate_polynomials_up_to_degree_n_minus_1(iv, rule, data):
+    # scaled as in the exactness suite; rounding grows with the n-term sum
+    # and the degree-d power, measured at most 1.2 * (d + n) * eps
+    kind, n = rule
+    d = data.draw(st.integers(0, n - 1), label="degree")
+    got = integrate(kind, SampledFunction(lambda x: x**d), iv, n).value
+    exact = (iv.b ** (d + 1) - iv.a ** (d + 1)) / (d + 1)
+    scale = (abs(iv.a) ** (d + 1) + abs(iv.b) ** (d + 1)) / (d + 1)
+    assert abs(got - exact) <= 4 * (d + n) * EPS * scale
+
+
+@PROPERTY
+@given(intervals(), rules())
+def test_interpolant_reproduces_the_samples_at_the_mapped_nodes(iv, rule):
+    # n coefficients each rounded near eps * max|f|, times P_k up to 2k + 1
+    # near the ends: an n^2 * eps * max|f| bound, measured at most 1.5 of it
+    kind, n = rule
+    ts = [math.cos(th) for th in rule_thetas(kind, n).tolist()]
+    samples = [smooth(affine_map(iv, t)) for t in ts]
+    cs = discrete_coeffs(kind, SampledFunction(smooth), iv, n)
+    bound = 4 * n * n * EPS * max(abs(y) for y in samples)
+    for t, y in zip(ts, samples):
+        assert abs(cs.evaluate(t) - y) <= bound

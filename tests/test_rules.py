@@ -227,6 +227,62 @@ def test_orthogonality_index_validation():
         discrete_orthogonality_sum(QuadKind.FEJER_I, 4, -1, 2)
 
 
+def test_closed_form_orthogonality_array_matches_scalar():
+    # one broadcast call per rule gives the whole table, bit for bit
+    for kind in ALL_KINDS:
+        for n in range(kind.min_nodes, 41):
+            i = np.arange(4 * n + 4)
+            table = closed_form_orthogonality(kind, n, i[:, None], i[:n])
+            scalar = np.array(
+                [[closed_form_orthogonality(kind, n, a, b) for b in range(n)] for a in range(4 * n + 4)]
+            )
+            assert table.shape == scalar.shape
+            assert (table == scalar).all() and table.tobytes() == scalar.tobytes(), (kind, n)
+    # unsigned indices must not wrap around in i - k: 2**32 - 1 and 2**64 - 1
+    # are multiples of 17, the f3/f4 period at n = 8
+    i = np.arange(36, dtype=np.uint32)
+    for kind in ALL_KINDS:
+        assert closed_form_orthogonality(kind, 8, i, np.uint8(1)).tobytes() == (
+            closed_form_orthogonality(kind, 8, i.astype(np.int64), 1).tobytes()
+        )
+        assert closed_form_orthogonality(kind, 8, np.uint64(0), 1) == 0.0
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, True, np.True_], ids=["float", "whole-float", "bool", "numpy-bool"])
+def test_rule_thetas_needs_an_integer_node_count(n):
+    with pytest.raises(TypeError, match="node count n must be an integer"):
+        rule_thetas(QuadKind.FEJER_I, n)
+
+
+@pytest.mark.parametrize(
+    "n, i, k",
+    [(True, 0, 0), (4.0, 1, 1), (4, 1.5, 1), (4, True, 0), (4, 1, 0.0), (4, np.arange(3.0), 0),
+     (4, 0, np.array([0.0]))],
+    ids=["bool-n", "float-n", "float-i", "bool-i", "float-k", "float-array-i", "float-array-k"],
+)
+def test_closed_form_orthogonality_needs_integers(n, i, k):
+    with pytest.raises(TypeError, match="must be an integer"):
+        closed_form_orthogonality(QuadKind.FEJER_I, n, i, k)
+
+
+@pytest.mark.parametrize(
+    "n, i, k",
+    [(True, 0, 0), (4.0, 1, 1), (4, 1.5, 1), (4, 1, True)],
+    ids=["bool-n", "float-n", "float-i", "bool-k"],
+)
+def test_discrete_orthogonality_sum_needs_integers(n, i, k):
+    with pytest.raises(TypeError, match="must be an integer"):
+        discrete_orthogonality_sum(QuadKind.FEJER_I, n, i, k)
+
+
+@pytest.mark.parametrize(
+    "n, j", [(True, 0), (4.0, 1), (4, 1.0), (4, True)], ids=["bool-n", "float-n", "float-j", "bool-j"]
+)
+def test_lagrange_basis_eval_needs_integers(n, j):
+    with pytest.raises(TypeError, match="must be an integer"):
+        lagrange_basis_eval(QuadKind.FEJER_I, n, j, 0.3)
+
+
 def test_lagrange_basis_delta_property():
     n = 6
     for kind in ALL_KINDS:
