@@ -24,7 +24,7 @@ import numpy as np
 from .coefficients import SampledFunction, discrete_coeffs
 from .polynomials import ChebKind, Interval
 from .quadrature import Partition, integrate, integrate_composite
-from .rules import QuadKind, family_for_rule
+from .rules import QuadKind, _integers, family_for_rule
 
 __all__ = [
     "DecayRow",
@@ -514,13 +514,15 @@ def trig_moment(ell: Any, q: Any, k: Any, parity: Any, num_points: int | None = 
     moment up to rounding.  num_points must be at least 2: fewer points
     span no interval and would report a vanishing moment for any integrand.
 
-    ell, q, k and parity may also be integer arrays that broadcast together.
+    ell, q, k and parity must be integers (bool and float are refused with a
+    TypeError); they may also be integer arrays that broadcast together.
     The result is then an array of that shape, every moment taken on one
     grid whose default, max(ell + q + k) + 2 points, is exact for all of
     them; each moment equals its scalar call on the same grid bit for bit.
     Scalar arguments give a Python float.
     """
-    ell, q, k, parity = np.broadcast_arrays(ell, q, k, parity)
+    names = ("ell", "q", "k", "parity")
+    ell, q, k, parity = np.broadcast_arrays(*map(_integers, (ell, q, k, parity), names))
     if not np.all((parity == 0) | (parity == 1)):
         raise ValueError("parity must be 0 or 1")
     if np.any(ell < 0) or np.any(q < 0) or np.any(k < 0):

@@ -24,7 +24,7 @@ from .analysis import (
     function_by_id,
 )
 from .polynomials import Interval
-from .quadrature import Partition, integrate, integrate_composite
+from .quadrature import Partition, integrate_composite
 from .rules import QuadKind, make_rule
 from .verify import SUITES
 
@@ -120,11 +120,7 @@ def _cmd_quad(args) -> int:
     fn = function_by_id(args.fn, args.m)
     iv = Interval(args.a, args.b)
     kind = QuadKind(args.rule)
-    if args.patches == 1:
-        res = integrate(kind, fn.sampled(), iv, args.n)
-    else:
-        part = Partition.equispaced(iv, args.patches)
-        res = integrate_composite(kind, fn.sampled(), part, args.n)
+    res = integrate_composite(kind, fn.sampled(), Partition.equispaced(iv, args.patches), args.n)
     abs_error = None
     if fn.exact_integral is not None:
         abs_error = abs(fn.exact_integral(iv) - res.value)

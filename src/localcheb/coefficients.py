@@ -7,16 +7,20 @@ obtained operationally as discrete coefficients at a much finer node set of
 the matching rule; for that reason they carry their resolution in the
 ``source`` tag.
 
-All sums run in the angle domain.  With the node factors written as
-half-angle products the third- and fourth-kind quotients cancel, so no node
-ever divides by a small cosine or sine.
+All sums run in the angle domain.  Per rule, one analysis table gives the
+weighted samples b_j, a frequency shift s (0, 0, 1, 1/2, 1/2 for f1, cc, f2,
+f3, f4) and cos or sin; coefficient k is sum_j b_j trig((k + s) theta_j)
+over the rule's discrete norm.  A termwise math.fsum loop and a real FFT
+read that table without asking which rule they have.  With the node factors
+written as half-angle products the third- and fourth-kind quotients cancel,
+so no node ever divides by a small cosine or sine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,14 +31,14 @@ from .polynomials import (
     clamp_reference,
     eval_cheb,
     gamma,
-    gamma_tilde,
 )
+from . import rules
 from .rules import (
-    TRANSFORM_CUTOFF,
     _FAMILY,
     QuadKind,
     _closed_set_normalizers,
     _node_factors,
+    _period,
     family_for_rule,
     rule_thetas,
 )
@@ -135,71 +139,27 @@ class CoefficientSet:
         }
 
 
-def _node_sums_fft(base: np.ndarray, phase0: float, period: int, ms: np.ndarray) -> np.ndarray:
-    """sum_j base_j e^{i m (phase0 + 2 pi j / period)} for each m in ms, by one real FFT."""
-    return np.exp(1j * phase0 * ms) * np.conj(np.fft.rfft(base, n=period)[ms])
-
-
-def _coeff_values_fft(
-    kind: QuadKind, thetas: np.ndarray, fvals: np.ndarray, n: int, ks: np.ndarray
-) -> np.ndarray:
-    """The coefficients of the termwise path, from one real FFT of the weighted samples.
-
-    The node angles are theta_j = theta_0 + 2 pi j / P.  The V and W kinds use
-    half-integer frequencies k + 1/2, which are whole frequencies of the half
-    angles theta_j / 2, whose period is 2P.
-    """
-    theta0 = float(thetas[0])
-    if kind is QuadKind.FEJER_I:
-        s = _node_sums_fft(fvals, theta0, 2 * n, ks).real
-        return np.where(ks == 0, 1.0, 2.0) / n * s
-    if kind is QuadKind.CLENSHAW_CURTIS:
-        gj = _closed_set_normalizers(n)
-        s = _node_sums_fft(fvals / gj, theta0, 2 * (n - 1), ks).real
-        return 2.0 / ((n - 1.0) * gj[ks]) * s
+def _analysis(kind: QuadKind, thetas: np.ndarray, fvals: np.ndarray) -> tuple[Any, float, Any]:
+    """The rule's analysis table: weighted samples b_j, frequency shift s, and cos or sin."""
+    if _FAMILY[kind] is ChebKind.FIRST:
+        # the node factor is 1 or 1/2 here, so f_j times it is exact
+        return fvals * _node_factors(kind, thetas), 0, np.cos
     if kind is QuadKind.FEJER_II:
-        s = _node_sums_fft(fvals * np.sin(thetas), theta0, 2 * (n + 1), ks + 1).imag
-        return 2.0 / (n + 1.0) * s
-    period = 2 * (2 * n + 1)
+        return fvals * np.sin(thetas), 1, np.sin
     if kind is QuadKind.FEJER_III:
-        base = fvals * (2.0 * np.cos(0.5 * thetas))
-        s = _node_sums_fft(base, 0.5 * theta0, period, 2 * ks + 1).real
-    else:
-        base = fvals * (2.0 * np.sin(0.5 * thetas))
-        s = _node_sums_fft(base, 0.5 * theta0, period, 2 * ks + 1).imag
-    return s / (n + 0.5)
+        return fvals * (2.0 * np.cos(0.5 * thetas)), 0.5, np.cos
+    return fvals * (2.0 * np.sin(0.5 * thetas)), 0.5, np.sin
 
 
-def _coeff_values_direct(
-    kind: QuadKind, thetas: np.ndarray, fvals: np.ndarray, n: int, ks: Sequence[int]
-) -> list[float]:
-    """One termwise inner product per degree, each reduced with math.fsum."""
-    out: list[float] = []
-    if kind in (QuadKind.FEJER_I, QuadKind.CLENSHAW_CURTIS):
-        # w_j is 1 or 1/2 here, so f_j * w_j is exact
-        base = fvals * _node_factors(kind, thetas)
-        for k in ks:
-            s = math.fsum((base * np.cos(k * thetas)).tolist())
-            if kind is QuadKind.FEJER_I:
-                out.append(gamma(k) / n * s)
-            else:
-                out.append(2.0 / ((n - 1.0) * gamma_tilde(k, n)) * s)
-    elif kind is QuadKind.FEJER_II:
-        base = fvals * np.sin(thetas)
-        for k in ks:
-            s = math.fsum((base * np.sin((k + 1.0) * thetas)).tolist())
-            out.append(2.0 / (n + 1.0) * s)
-    elif kind is QuadKind.FEJER_III:
-        base = fvals * (2.0 * np.cos(0.5 * thetas))
-        for k in ks:
-            s = math.fsum((base * np.cos((k + 0.5) * thetas)).tolist())
-            out.append(s / (n + 0.5))
-    else:
-        base = fvals * (2.0 * np.sin(0.5 * thetas))
-        for k in ks:
-            s = math.fsum((base * np.sin((k + 0.5) * thetas)).tolist())
-            out.append(s / (n + 0.5))
-    return out
+def _normalise(kind: QuadKind, n: int, ks: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The coefficients from their node sums: divide out the discrete norms."""
+    if kind is QuadKind.FEJER_I:
+        return np.where(ks == 0, 1.0, 2.0) / n * sums
+    if kind is QuadKind.CLENSHAW_CURTIS:
+        return 2.0 / ((n - 1.0) * _closed_set_normalizers(n)[ks]) * sums
+    if kind is QuadKind.FEJER_II:
+        return 2.0 / (n + 1.0) * sums
+    return sums / (n + 0.5)
 
 
 def _coeff_values(
@@ -216,10 +176,18 @@ def _coeff_values(
     k * theta_j before the cosine.  Both paths are deterministic, so repeated
     runs are reproducible to the bit.
     """
-    if len(ks) >= TRANSFORM_CUTOFF:
-        out = _coeff_values_fft(kind, thetas, fvals, n, np.asarray(ks)).tolist()
+    base, shift, trig = _analysis(kind, thetas, fvals)
+    if len(ks) >= rules.TRANSFORM_CUTOFF:
+        # theta_j = theta_0 + 2 pi j / P.  A half-integer shift makes k + s a
+        # whole frequency 2k + 1 of the half angles theta_j / 2, of period 2P.
+        q = 2 if shift % 1 else 1
+        ms = q * np.asarray(ks) + int(q * shift)
+        spectrum = np.conj(np.fft.rfft(base, n=q * _period(kind, n))[ms])
+        sums = np.exp(1j * (float(thetas[0]) / q) * ms) * spectrum
+        sums = sums.real if trig is np.cos else sums.imag
     else:
-        out = _coeff_values_direct(kind, thetas, fvals, n, ks)
+        sums = np.array([math.fsum((base * trig((k + shift) * thetas)).tolist()) for k in ks])
+    out = _normalise(kind, n, np.asarray(ks), sums).tolist()
     return [0.0 if abs(v) < SUBNORMAL_FLUSH else v for v in out]
 
 

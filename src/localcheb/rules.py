@@ -4,12 +4,18 @@ Five node sets are supported, named f1, cc, f2, f3, f4: Fejer-1 (zeros of
 T_n), Clenshaw-Curtis (extrema of T_{n-1}, both endpoints included), Fejer-2
 (zeros of U_n), Fejer-3 (zeros of V_n) and Fejer-4 (zeros of W_n).  Node
 angles increase with the index j, so nodes t_j = cos(theta_j) are strictly
-decreasing.  Weights come from closed-form trigonometric sums of about n/2
-terms.  Below TRANSFORM_CUTOFF nodes they are summed term by term in
-O(n^2); this covers the paper's tables (n <= 16) and the golden files.  From
-TRANSFORM_CUTOFF nodes on, the same sums come from one inverse FFT in
-O(n log n).  The two paths agree to within 1e-16, and both are
-deterministic, so a rule's output is byte-identical from run to run.
+decreasing.  One table row per rule gives its angle grid theta_j =
+(step j + offset) pi / den and the alias period P = 2 den / step that the
+FFTs and the closed-form orthogonality read.
+
+Weights come from one trigonometric sum per rule, kept as a spectrum
+(frequencies m, numerators c, denominators d, cos or sin) and summed by two
+paths that never ask for the rule.  Below TRANSFORM_CUTOFF nodes one loop
+adds c trig(m theta) / d term by term in O(n^2); this covers the paper's
+tables (n <= 16) and the goldens.  From TRANSFORM_CUTOFF nodes on, one
+inverse FFT of the spectrum gives the same sums in O(n log n).  The paths
+agree to within 1e-16 and are deterministic, so a rule's output is
+byte-identical from run to run.
 
 Each node set makes its matched polynomial family discretely orthogonal.
 ``discrete_orthogonality_sum`` evaluates those sums directly and
@@ -28,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .polynomials import ChebKind, eval_cheb
+from .polynomials import ChebKind, clamp_reference, eval_cheb
 
 __all__ = [
     "QuadKind",
@@ -122,6 +128,17 @@ def _check_index(value: Any, name: str, top: int | None = None) -> Any:
     return value
 
 
+# Each rule's node angles theta_j = (step * j + offset) * pi / den, where
+# den = den_scale * n + den_shift: (step, offset, den_scale, den_shift)
+_GRID = {
+    QuadKind.FEJER_I: (2, 1, 2, 0),
+    QuadKind.CLENSHAW_CURTIS: (1, 0, 1, -1),
+    QuadKind.FEJER_II: (1, 1, 1, 1),
+    QuadKind.FEJER_III: (2, 1, 2, 1),
+    QuadKind.FEJER_IV: (2, 2, 2, 1),
+}
+
+
 def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
     """Node angles theta_j in increasing order; the nodes are cos(theta_j).
 
@@ -129,16 +146,15 @@ def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
     computation) need the angles but not the weight construction.
     """
     n = _check_n(kind, n)
+    step, offset, den_scale, den_shift = _GRID[kind]
     j = np.arange(n, dtype=float)
-    if kind is QuadKind.FEJER_I:
-        return (2.0 * j + 1.0) * (math.pi / (2.0 * n))
-    if kind is QuadKind.CLENSHAW_CURTIS:
-        return j * (math.pi / (n - 1.0))
-    if kind is QuadKind.FEJER_II:
-        return (j + 1.0) * (math.pi / (n + 1.0))
-    if kind is QuadKind.FEJER_III:
-        return (2.0 * j + 1.0) * (math.pi / (2.0 * n + 1.0))
-    return (2.0 * j + 2.0) * (math.pi / (2.0 * n + 1.0))
+    return (step * j + offset) * (math.pi / (den_scale * n + den_shift))
+
+
+def _period(kind: QuadKind, n: int) -> int:
+    """Smallest P with theta_{j+1} - theta_j = 2 pi / P: the alias period of the nodes."""
+    step, _, den_scale, den_shift = _GRID[kind]
+    return 2 * (den_scale * n + den_shift) // step
 
 
 def _closed_set_normalizers(n: int) -> np.ndarray:
@@ -148,59 +164,37 @@ def _closed_set_normalizers(n: int) -> np.ndarray:
     return gj
 
 
-def _moment_sums_direct(kind: QuadKind, n: int, thetas: np.ndarray) -> np.ndarray:
-    if kind is QuadKind.FEJER_I:
-        acc = np.ones(n)
-        for k in range(1, n // 2 + 1):
-            acc -= 2.0 * np.cos(2.0 * k * thetas) / (4.0 * k * k - 1.0)
-        return acc
-    if kind is QuadKind.CLENSHAW_CURTIS:
-        acc = np.ones(n)
-        for k in range(1, (n - 1) // 2 + 1):
-            # the top term is halved when 2k hits the closed-set endpoint index
-            coef = 1.0 if 2 * k == n - 1 else 2.0
-            acc -= coef * np.cos(2.0 * k * thetas) / (4.0 * k * k - 1.0)
-        return acc
-    # the three open rules at U/V/W zeros share the odd-sine sum
-    acc = np.zeros(n)
-    for k in range(1, (n + 1) // 2 + 1):
-        acc += np.sin((2.0 * k - 1.0) * thetas) / (2.0 * k - 1.0)
-    return acc
+def _spectrum(kind: QuadKind, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Any]:
+    """The weights' moment sum as sum_m c_m trig(m theta) / d_m: (m, c, d, trig).
 
-
-def _moment_sums_fft(kind: QuadKind, n: int, theta0: float) -> np.ndarray:
-    """The sums of _moment_sums_direct, from one inverse FFT.
-
-    The angles are theta_j = theta_0 + 2 pi j / P, so sum_m a_m e^{i m theta_j}
-    is the unscaled length-P inverse DFT of a_m e^{i m theta_0}, read at
-    j < n.  P is the smallest period of the node set.
+    First-kind rules sum cosines of the even m up to n (n - 1 for cc) with
+    d = m^2 - 1 and c = -2, except c = -1 at m = 0 and at cc's endpoint
+    frequency m = n - 1; the U, V and W rules sum sines of the odd m up to n
+    with c = 1 and d = m.
     """
-    if kind in (QuadKind.FEJER_I, QuadKind.CLENSHAW_CURTIS):
-        # 1 - sum_k coef_k cos(2k theta) / (4k^2 - 1) with coef_0 = 1 is one cosine sum
-        top = n // 2 if kind is QuadKind.FEJER_I else (n - 1) // 2
-        period = 2 * n if kind is QuadKind.FEJER_I else 2 * (n - 1)
-        k = np.arange(top + 1)
-        coef = np.full(top + 1, 2.0)
-        coef[0] = 1.0
-        if kind is QuadKind.CLENSHAW_CURTIS and 2 * top == n - 1:
-            coef[top] = 1.0
-        m = 2 * k
-        amps = -coef / (4.0 * k * k - 1.0)
-    else:
-        period = 2 * (n + 1) if kind is QuadKind.FEJER_II else 2 * n + 1
-        m = np.arange(1, n + 1, 2)
-        amps = 1.0 / m
-    spectrum = np.zeros(period, dtype=complex)
-    spectrum[m] = amps * np.exp(1j * theta0 * m)
-    sums = np.fft.ifft(spectrum, norm="forward")[:n]
-    return sums.real if kind in (QuadKind.FEJER_I, QuadKind.CLENSHAW_CURTIS) else sums.imag
+    if _FAMILY[kind] is ChebKind.FIRST:
+        closed = kind is QuadKind.CLENSHAW_CURTIS
+        top = n - 1 if closed else n
+        m = np.arange(0, top + 1, 2)
+        c = np.where((m == 0) | (closed & (m == top)), -1, -2)
+        return m, c, m * m - 1, np.cos
+    m = np.arange(1, n + 1, 2)
+    return m, np.ones_like(m), m, np.sin
 
 
 def _weights(kind: QuadKind, n: int, thetas: np.ndarray) -> np.ndarray:
+    m, c, d, trig = _spectrum(kind, n)
     if n >= TRANSFORM_CUTOFF:
-        acc = _moment_sums_fft(kind, n, float(thetas[0]))
+        # theta_j = theta_0 + 2 pi j / P, so the sum is the unscaled length-P
+        # inverse DFT of (c / d) e^{i m theta_0}, read at j < n
+        spectrum = np.zeros(_period(kind, n), dtype=complex)
+        spectrum[m] = c / d * np.exp(1j * float(thetas[0]) * m)
+        sums = np.fft.ifft(spectrum, norm="forward")[:n]
+        acc = sums.real if trig is np.cos else sums.imag
     else:
-        acc = _moment_sums_direct(kind, n, thetas)
+        acc = np.zeros(n)
+        for freq, num, den in zip(m.tolist(), c.tolist(), d.tolist()):
+            acc += num * trig(freq * thetas) / den
     if kind is QuadKind.FEJER_I:
         return (2.0 / n) * acc
     if kind is QuadKind.CLENSHAW_CURTIS:
@@ -347,23 +341,17 @@ def closed_form_orthogonality(kind: QuadKind, n: int, i: Any, k: Any) -> Any:
     n = _check_n(kind, n)
     i = _check_index(i, "index i")
     k = _check_index(k, "index k", n - 1)
+    p = _period(kind, n)
     if kind is QuadKind.FEJER_I:
-        period = 2 * n
-        out = 0.5 * n * (_signed_alias_hit(i - k, period) + _signed_alias_hit(i + k, period))
+        out = 0.5 * n * (_signed_alias_hit(i - k, p) + _signed_alias_hit(i + k, p))
     elif kind is QuadKind.CLENSHAW_CURTIS:
-        period = 2 * (n - 1)
-        out = 0.5 * (n - 1) * (_alias_hit(i - k, period) + _alias_hit(i + k, period))
+        out = 0.5 * (n - 1) * (_alias_hit(i - k, p) + _alias_hit(i + k, p))
     elif kind is QuadKind.FEJER_II:
-        period = 2 * (n + 1)
-        out = 0.5 * (n + 1) * (_alias_hit(i - k, period) - _alias_hit(i + k + 2, period))
+        out = 0.5 * (n + 1) * (_alias_hit(i - k, p) - _alias_hit(i + k + 2, p))
     elif kind is QuadKind.FEJER_III:
-        period = 2 * n + 1
-        out = (n + 0.5) * (
-            _signed_alias_hit(i - k, period) + _signed_alias_hit(i + k + 1, period)
-        )
+        out = (n + 0.5) * (_signed_alias_hit(i - k, p) + _signed_alias_hit(i + k + 1, p))
     else:
-        period = 2 * n + 1
-        out = (n + 0.5) * (_alias_hit(i - k, period) - _alias_hit(i + k + 1, period))
+        out = (n + 0.5) * (_alias_hit(i - k, p) - _alias_hit(i + k + 1, p))
     return out if isinstance(out, np.ndarray) else float(out)
 
 
@@ -382,5 +370,9 @@ def lagrange_basis_eval(kind: QuadKind, n: int, j: int, t: float) -> float:
     at_node = _family_matrix(family, thetas[j : j + 1], range(n))[:, 0].tolist()
     ks = np.arange(n)
     norms = closed_form_orthogonality(kind, n, ks, ks).tolist()
-    terms = [factor * at_node[k] * eval_cheb(family, k, t) / norms[k] for k in range(n)]
+    t = clamp_reference(t)
+    at_t = [1.0, eval_cheb(family, 1, t)]
+    for _ in range(n - 2):  # eval_cheb's recurrence, run once for every degree
+        at_t.append(2.0 * t * at_t[-1] - at_t[-2])
+    terms = [factor * at_node[k] * at_t[k] / norms[k] for k in range(n)]
     return math.fsum(terms)

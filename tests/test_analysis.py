@@ -291,6 +291,15 @@ def test_trig_moment_needs_two_points(num_points):
     assert trig_moment(0, 0, 0, 0, 2) == pytest.approx(2.0 * math.pi, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args", [(1.5, 0, 1, 0), (True, 0, 1, 0), (0, 2.0, 1, 0), (0, 0, np.array([1.0]), 0), (0, 0, 1, False)],
+    ids=["float-ell", "bool-ell", "float-q", "float-array-k", "bool-parity"],
+)
+def test_trig_moment_needs_integer_orders(args):
+    with pytest.raises(TypeError, match="must be an integer"):
+        trig_moment(*args)
+
+
 def test_trig_moment_arrays_match_scalar_calls():
     # a batch on one grid equals the scalar calls on that grid, bit for bit;
     # ell, q, k range over the verify suite's cases

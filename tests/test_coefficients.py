@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from localcheb import coefficients
+from localcheb import coefficients, rules
 from localcheb import (
     ChebKind,
     CoefficientSet,
@@ -118,9 +118,9 @@ def test_fft_coefficients_match_exact_sums(kind, monkeypatch):
         thetas = rule_thetas(kind, n)
         fvals = coefficients._sample_at_nodes(f, iv, thetas)
         ks = range(n) if n <= TRANSFORM_CUTOFF else sorted({*range(0, n, n // 32), n - 3, n - 2, n - 1})
-        monkeypatch.setattr(coefficients, "TRANSFORM_CUTOFF", 1)
+        monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", 1)
         fast = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
-        monkeypatch.setattr(coefficients, "TRANSFORM_CUTOFF", n + 1)
+        monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", n + 1)
         exact = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
         bound = 0.5 * n * np.finfo(float).eps * np.max(np.abs(fvals))
         assert np.max(np.abs(fast - exact)) <= bound, n

@@ -6,7 +6,9 @@ deterministic.
 
 import math
 import sys
+from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from localcheb import (
     Partition,
     QuadKind,
     SampledFunction,
+    affine_inverse,
     affine_map,
     clamp_reference,
     discrete_coeffs,
@@ -22,6 +25,8 @@ from localcheb import (
     integrate_composite,
     rule_thetas,
 )
+from localcheb import coefficients
+from localcheb import rules as rules_module
 
 PROPERTY = settings(derandomize=True, deadline=None)
 EPS = sys.float_info.epsilon
@@ -99,3 +104,31 @@ def test_interpolant_reproduces_the_samples_at_the_mapped_nodes(iv, rule):
     bound = 4 * n * n * EPS * max(abs(y) for y in samples)
     for t, y in zip(ts, samples):
         assert abs(cs.evaluate(t) - y) <= bound
+
+
+@PROPERTY
+@given(intervals(), st.sampled_from(list(QuadKind)), st.integers(64, 200))
+def test_fft_and_termwise_paths_agree(iv, kind, n):
+    # both paths forced at the same n, under the bounds of the fixed-n tests
+    # in test_rules.py and test_coefficients.py
+    thetas = rule_thetas(kind, n)
+    fvals = coefficients._sample_at_nodes(SampledFunction(smooth), iv, thetas)
+    paths = []
+    for cutoff in (1, n + 1):
+        with mock.patch.object(rules_module, "TRANSFORM_CUTOFF", cutoff):
+            weights = rules_module._weights(kind, n, thetas)
+            values = np.array(coefficients._coeff_values(kind, thetas, fvals, n, range(n)))
+        paths.append((weights, values))
+    (fast_w, fast_c), (exact_w, exact_c) = paths
+    assert np.max(np.abs(fast_w - exact_w)) <= 2e-16
+    assert np.max(np.abs(fast_c - exact_c)) <= 0.5 * n * EPS * np.max(np.abs(fvals))
+
+
+@PROPERTY
+@given(intervals(), st.floats(-1.0, 1.0))
+@example(Interval(-1e6, -1e6 + 1e-6), 1.0)
+def test_affine_inverse_undoes_affine_map(iv, t):
+    # the map rounds x near eps * (|a| + |b|), which the inverse divides by
+    # h; measured at most 1.0 of this bound
+    back = affine_inverse(iv, affine_map(iv, t))
+    assert abs(back - t) <= 4 * EPS * (1.0 + (abs(iv.a) + abs(iv.b)) / iv.h)

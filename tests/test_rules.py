@@ -10,6 +10,7 @@ import oracles
 from localcheb import rules
 from localcheb import (
     QuadKind,
+    eval_cheb,
     closed_form_orthogonality,
     discrete_orthogonality_sum,
     family_for_rule,
@@ -306,6 +307,25 @@ def test_lagrange_basis_matches_node_product():
                 assert lagrange_basis_eval(kind, 5, j, t) == pytest.approx(ref, abs=1e-12)
     with pytest.raises(ValueError):
         lagrange_basis_eval(QuadKind.FEJER_I, 4, 4, 0.0)
+
+
+def test_lagrange_basis_eval_matches_the_per_degree_sum():
+    # the same sum with each P_k(t) from its own eval_cheb call, as an O(n^2)
+    # reference; one upward recurrence must reproduce it bit for bit
+    for kind in ALL_KINDS:
+        family = family_for_rule(kind)
+        for n in range(kind.min_nodes, 41):
+            thetas = rule_thetas(kind, n)
+            factors = rules._node_factors(kind, thetas).tolist()
+            at_nodes = rules._family_matrix(family, thetas, range(n)).T.tolist()
+            norms = [closed_form_orthogonality(kind, n, k, k) for k in range(n)]
+            for j in range(n):
+                for t in (-1.0, -0.83, 0.0, 0.41, 1.0, 1.0 + 5e-13):
+                    terms = [
+                        factors[j] * at_nodes[j][k] * eval_cheb(family, k, t) / norms[k]
+                        for k in range(n)
+                    ]
+                    assert lagrange_basis_eval(kind, n, j, t) == math.fsum(terms), (kind, n, j, t)
 
 
 def test_rule_arrays_are_read_only():
