@@ -6,117 +6,20 @@ the matching family, single-patch and composite quadrature, and a harness
 for measuring decay rates and convergence orders on shrinking intervals.
 """
 
-from .analysis import (
-    DecayRow,
-    QuadRow,
-    ShrinkSchedule,
-    StudyReport,
-    TestFunction,
-    coefficient_decay_study,
-    composite_convergence_study,
-    exp_fn,
-    merge_reports,
-    poly_fn,
-    power_abs_exp,
-    quadrature_convergence_study,
-    rate,
-    function_by_id,
-    theoretical_decay_rate,
-    theoretical_order,
-    trig_moment,
-)
-from .coefficients import (
-    CoefficientSet,
-    ContinuousOracleSource,
-    DiscreteRuleSource,
-    KindRelationsReport,
-    MidpointGap,
-    SampledFunction,
-    continuous_coeffs,
-    discrete_coeffs,
-    kind_relations_check,
-    midpoint_limit_check,
-)
-from .polynomials import (
-    ChebKind,
-    Interval,
-    affine_inverse,
-    affine_map,
-    clamp_reference,
-    eval_cheb,
-    eval_cheb_trig,
-    gamma,
-    gamma_tilde,
-)
-from .quadrature import (
-    Partition,
-    QuadResult,
-    integrate,
-    integrate_composite,
-    interpolant_eval,
-)
-from .rules import (
-    QuadKind,
-    QuadratureRule,
-    closed_form_orthogonality,
-    discrete_orthogonality_sum,
-    family_for_rule,
-    lagrange_basis_eval,
-    make_rule,
-    rule_thetas,
-)
+from . import analysis, coefficients, polynomials, quadrature, rules
+from .analysis import *
+from .coefficients import *
+from .polynomials import *
+from .quadrature import *
+from .rules import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebKind",
-    "CoefficientSet",
-    "ContinuousOracleSource",
-    "DecayRow",
-    "DiscreteRuleSource",
-    "Interval",
-    "KindRelationsReport",
-    "MidpointGap",
-    "Partition",
-    "QuadKind",
-    "QuadResult",
-    "QuadRow",
-    "QuadratureRule",
-    "SampledFunction",
-    "ShrinkSchedule",
-    "StudyReport",
-    "TestFunction",
-    "affine_inverse",
-    "affine_map",
-    "clamp_reference",
-    "closed_form_orthogonality",
-    "coefficient_decay_study",
-    "composite_convergence_study",
-    "continuous_coeffs",
-    "discrete_coeffs",
-    "discrete_orthogonality_sum",
-    "eval_cheb",
-    "eval_cheb_trig",
-    "exp_fn",
-    "family_for_rule",
-    "gamma",
-    "gamma_tilde",
-    "integrate",
-    "integrate_composite",
-    "interpolant_eval",
-    "kind_relations_check",
-    "lagrange_basis_eval",
-    "make_rule",
-    "merge_reports",
-    "midpoint_limit_check",
-    "poly_fn",
-    "power_abs_exp",
-    "quadrature_convergence_study",
-    "rate",
-    "rule_thetas",
-    "function_by_id",
-    "theoretical_decay_rate",
-    "theoretical_order",
-    "trig_moment",
+    *analysis.__all__,
+    *coefficients.__all__,
+    *polynomials.__all__,
+    *quadrature.__all__,
+    *rules.__all__,
     "__version__",
 ]

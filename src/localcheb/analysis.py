@@ -11,11 +11,17 @@ Each is paired with its theoretical prediction (tdr, toc) so a single CSV
 artifact carries both.  Rows whose measured value sits below the precision
 floor are flagged and excluded from rate estimation; a rate cell is also left
 empty when its predecessor row was floored.
+
+Each study kind ("decay", "quad") is described once, in one schema: its CSV
+header, the cells of one row and the order of the rows.  The CSV writer,
+every study and merge_reports read that schema.  Both quadrature studies
+build their rows through one helper from (p, h, exact, value) steps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -24,7 +30,7 @@ import numpy as np
 from .coefficients import SampledFunction, discrete_coeffs
 from .polynomials import ChebKind, Interval
 from .quadrature import Partition, integrate, integrate_composite
-from .rules import QuadKind, _integers, family_for_rule
+from .rules import QuadKind, _check_index, _integers, family_for_rule
 
 __all__ = [
     "DecayRow",
@@ -168,9 +174,10 @@ class ShrinkSchedule:
     def __post_init__(self):
         if not self.p_values:
             raise ValueError("schedule must contain at least one p")
-        for prev, cur in zip(self.p_values, self.p_values[1:]):
-            if cur <= prev:
-                raise ValueError("p values must be strictly increasing")
+        for p in self.p_values:
+            _integers(p, "p value")
+        if any(cur <= prev for prev, cur in zip(self.p_values, self.p_values[1:])):
+            raise ValueError("p values must be strictly increasing")
         if self.p_values[0] < 1:
             raise ValueError("p values must be >= 1")
 
@@ -273,13 +280,30 @@ class QuadRow:
 
 
 def _fmt(x: float | int | None) -> str:
-    if x is None:
-        return ""
+    # "%.17g" % x gives the text of format(x, ".17g") and is faster
     if isinstance(x, int):
         return str(x)
-    if math.isnan(x):
-        return ""
-    return format(x, ".17g")
+    return "" if x is None or math.isnan(x) else "%.17g" % x
+
+
+def _decay_cells(r: DecayRow) -> list[str]:
+    ndr = None if r.floored else r.ndr
+    return [r.family.value, r.rule.value, _fmt(r.m), str(r.k), str(r.p),
+            _fmt(r.h), _fmt(r.coeff_abs), _fmt(ndr), _fmt(r.tdr)]
+
+
+def _quad_cells(r: QuadRow) -> list[str]:
+    noc = None if r.floored else r.noc
+    return [r.rule.value, _fmt(r.m), str(r.n), str(r.p), _fmt(r.h),
+            _fmt(r.error), _fmt(noc), _fmt(r.toc), "1" if r.floored else "0"]
+
+
+# each study kind's schema: CSV header, row -> cells map, row sort key
+_SCHEMAS: dict[str, tuple[str, Callable[[Any], list[str]], Callable[[Any], tuple]]] = {
+    "decay": ("family,rule,m,k,p,h,coeff_abs,ndr,tdr", _decay_cells, lambda r: (r.p, r.k)),
+    "quad": ("rule,m,n,p,h,error,noc,toc,floor_flag", _quad_cells,
+             lambda r: (r.p, r.n, -1 if r.m is None else r.m)),
+}
 
 
 @dataclass(frozen=True)
@@ -289,56 +313,24 @@ class StudyReport:
     study: str  # "decay" or "quad"
     rows: tuple[DecayRow, ...] | tuple[QuadRow, ...]
 
-    def to_csv(self) -> str:
-        if self.study == "decay":
-            lines = ["family,rule,m,k,p,h,coeff_abs,ndr,tdr"]
-            for r in self.rows:
-                ndr = None if r.floored else r.ndr
-                lines.append(
-                    ",".join(
-                        [
-                            r.family.value,
-                            r.rule.value,
-                            _fmt(r.m),
-                            str(r.k),
-                            str(r.p),
-                            _fmt(r.h),
-                            _fmt(r.coeff_abs),
-                            _fmt(ndr),
-                            _fmt(r.tdr),
-                        ]
-                    )
-                )
-        elif self.study == "quad":
-            lines = ["rule,m,n,p,h,error,noc,toc,floor_flag"]
-            for r in self.rows:
-                noc = None if r.floored else r.noc
-                lines.append(
-                    ",".join(
-                        [
-                            r.rule.value,
-                            _fmt(r.m),
-                            str(r.n),
-                            str(r.p),
-                            _fmt(r.h),
-                            _fmt(r.error),
-                            _fmt(noc),
-                            _fmt(r.toc),
-                            "1" if r.floored else "0",
-                        ]
-                    )
-                )
-        else:
+    def __post_init__(self):
+        if self.study not in _SCHEMAS:
             raise ValueError(f"unknown study kind {self.study!r}")
-        return "\n".join(lines) + "\n"
+
+    def to_csv(self) -> str:
+        header, cells, _ = _SCHEMAS[self.study]
+        return "\n".join([header, *map(",".join, map(cells, self.rows))]) + "\n"
 
 
-def _decay_sort_key(r: DecayRow):
-    return (r.p, r.k)
+def _report(study: str, rows: Iterable[DecayRow] | Iterable[QuadRow]) -> StudyReport:
+    """A report of the given kind with its rows in that kind's order."""
+    _, _, sort_key = _SCHEMAS[study]
+    return StudyReport(study, tuple(sorted(rows, key=sort_key)))
 
 
-def _quad_sort_key(r: QuadRow):
-    return (r.p, r.n, -1 if r.m is None else r.m)
+def _sorted_ints(values: Iterable[Any], name: str) -> list[int]:
+    """The distinct values in increasing order; TypeError on any non-integer."""
+    return sorted({operator.index(_integers(v, name)) for v in values})
 
 
 def coefficient_decay_study(
@@ -354,7 +346,7 @@ def coefficient_decay_study(
     since c~_0 tracks the local function magnitude.  A rate is recorded only
     when the current and previous magnitudes are both above their floors.
     """
-    k_list = sorted(set(int(k) for k in ks))
+    k_list = _sorted_ints(ks, "coefficient index")
     if not k_list:
         raise ValueError("need at least one coefficient index")
     if k_list[0] < 1 or k_list[-1] > n - 1:
@@ -371,23 +363,29 @@ def coefficient_decay_study(
         for k in k_list:
             mag = abs(cs.values[k])
             floored = mag < floor
-            rows.append(
-                DecayRow(
-                    family=family,
-                    rule=kind,
-                    m=f.m,
-                    k=k,
-                    p=p,
-                    h=h,
-                    coeff_abs=mag,
-                    ndr=_rated(prev.get(k), mag, h, floored),
-                    tdr=theoretical_decay_rate(k, f.m),
-                    floored=floored,
-                )
-            )
+            ndr = _rated(prev.get(k), mag, h, floored)
+            rows.append(DecayRow(family, kind, f.m, k, p, h, mag, ndr,
+                                 theoretical_decay_rate(k, f.m), floored))
             prev[k] = (mag, h, floored)
-    rows.sort(key=_decay_sort_key)
-    return StudyReport("decay", tuple(rows))
+    return _report("decay", rows)
+
+
+def _quad_rows(
+    kind: QuadKind, f: TestFunction, n: int, steps: Iterable[tuple], composite: bool
+) -> list[QuadRow]:
+    """One row per (p, h, exact, value) step, rated against the step before.
+
+    A step is floored when its error is below FLOOR_SCALE * (1 + |exact|).
+    """
+    toc = theoretical_order(kind, n, f.m, composite)
+    rows: list[QuadRow] = []
+    prev: tuple[float, float, bool] | None = None
+    for p, h, exact, value in steps:
+        err = abs(exact - value)
+        floored = err < FLOOR_SCALE * (1.0 + abs(exact))
+        rows.append(QuadRow(kind, f.m, n, p, h, err, _rated(prev, err, h, floored), toc, floored))
+        prev = (err, h, floored)
+    return rows
 
 
 def quadrature_convergence_study(
@@ -399,39 +397,21 @@ def quadrature_convergence_study(
     """Quadrature error over the shrink schedule, per node count.
 
     Requires f.exact_integral; the error floor is FLOOR_SCALE * (1 + |exact|)
-    per step.
+    per step.  ns is one node count (any integer) or an iterable of them.
     """
-    if f.exact_integral is None:
+    exact = f.exact_integral
+    if exact is None:
         raise ValueError("quadrature study needs a test function with an exact integral")
-    n_list = [ns] if isinstance(ns, int) else sorted(set(int(n) for n in ns))
+    n_list = _sorted_ints(ns if isinstance(ns, Iterable) else [ns], "node count n")
     if not n_list:
         raise ValueError("need at least one node count")
+    sf = f.sampled()
+    shrink = [(p, ShrinkSchedule.h(p), ShrinkSchedule.interval(p)) for p in schedule.p_values]
     rows: list[QuadRow] = []
     for n in n_list:
-        prev: tuple[float, float, bool] | None = None
-        for p in schedule.p_values:
-            iv = ShrinkSchedule.interval(p)
-            h = ShrinkSchedule.h(p)
-            exact = f.exact_integral(iv)
-            q = integrate(kind, f.sampled(), iv, n)
-            err = abs(exact - q.value)
-            floored = err < FLOOR_SCALE * (1.0 + abs(exact))
-            rows.append(
-                QuadRow(
-                    rule=kind,
-                    m=f.m,
-                    n=n,
-                    p=p,
-                    h=h,
-                    error=err,
-                    noc=_rated(prev, err, h, floored),
-                    toc=theoretical_order(kind, n, f.m),
-                    floored=floored,
-                )
-            )
-            prev = (err, h, floored)
-    rows.sort(key=_quad_sort_key)
-    return StudyReport("quad", tuple(rows))
+        steps = ((p, h, exact(iv), integrate(kind, sf, iv, n).value) for p, h, iv in shrink)
+        rows += _quad_rows(kind, f, n, steps, False)
+    return _report("quad", rows)
 
 
 def composite_convergence_study(
@@ -447,35 +427,15 @@ def composite_convergence_study(
     """
     if f.exact_integral is None:
         raise ValueError("composite study needs a test function with an exact integral")
-    ps = sorted(set(int(p) for p in p_values))
+    ps = _sorted_ints(p_values, "patch count")
     if not ps or ps[0] < 1:
         raise ValueError("patch counts must be positive")
     exact = f.exact_integral(interval)
-    floor = FLOOR_SCALE * (1.0 + abs(exact))
-    rows: list[QuadRow] = []
-    prev: tuple[float, float, bool] | None = None
-    for p in ps:
-        part = Partition.equispaced(interval, p)
-        q = integrate_composite(kind, f.sampled(), part, n)
-        err = abs(exact - q.value)
-        h = interval.h / p
-        floored = err < floor
-        rows.append(
-            QuadRow(
-                rule=kind,
-                m=f.m,
-                n=n,
-                p=p,
-                h=h,
-                error=err,
-                noc=_rated(prev, err, h, floored),
-                toc=theoretical_order(kind, n, f.m, composite=True),
-                floored=floored,
-            )
-        )
-        prev = (err, h, floored)
-    rows.sort(key=_quad_sort_key)
-    return StudyReport("quad", tuple(rows))
+    sf = f.sampled()
+    steps = ((p, interval.h / p, exact,
+              integrate_composite(kind, sf, Partition.equispaced(interval, p), n).value)
+             for p in ps)
+    return _report("quad", _quad_rows(kind, f, n, steps, True))
 
 
 def merge_reports(*reports: StudyReport) -> StudyReport:
@@ -485,9 +445,7 @@ def merge_reports(*reports: StudyReport) -> StudyReport:
     study = reports[0].study
     if any(r.study != study for r in reports):
         raise ValueError("cannot merge reports of different study kinds")
-    rows = [row for rep in reports for row in rep.rows]
-    rows.sort(key=_decay_sort_key if study == "decay" else _quad_sort_key)
-    return StudyReport(study, tuple(rows))
+    return _report(study, [row for rep in reports for row in rep.rows])
 
 
 def _powers(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -514,19 +472,16 @@ def trig_moment(ell: Any, q: Any, k: Any, parity: Any, num_points: int | None = 
     moment up to rounding.  num_points must be at least 2: fewer points
     span no interval and would report a vanishing moment for any integrand.
 
-    ell, q, k and parity must be integers (bool and float are refused with a
-    TypeError); they may also be integer arrays that broadcast together.
-    The result is then an array of that shape, every moment taken on one
-    grid whose default, max(ell + q + k) + 2 points, is exact for all of
-    them; each moment equals its scalar call on the same grid bit for bit.
-    Scalar arguments give a Python float.
+    ell, q, k must be nonnegative integers and parity 0 or 1 (bool and float
+    raise TypeError, values out of range ValueError).  They may also be
+    integer arrays that broadcast together, taken as int64 so that unsigned
+    orders do not wrap; the result is then an array of that shape, every
+    moment taken on one grid whose default, max(ell + q + k) + 2 points, is
+    exact for all of them, and each moment equals its scalar call on the same
+    grid bit for bit.  Scalar arguments give a Python float.
     """
-    names = ("ell", "q", "k", "parity")
-    ell, q, k, parity = np.broadcast_arrays(*map(_integers, (ell, q, k, parity), names))
-    if not np.all((parity == 0) | (parity == 1)):
-        raise ValueError("parity must be 0 or 1")
-    if np.any(ell < 0) or np.any(q < 0) or np.any(k < 0):
-        raise ValueError("ell, q, k must be nonnegative")
+    ell, q, k = (_check_index(v, name) for v, name in ((ell, "ell"), (q, "q"), (k, "k")))
+    ell, q, k, parity = np.broadcast_arrays(ell, q, k, _check_index(parity, "parity", 1))
     if num_points is None:
         num_points = int(np.max(ell + q + k)) + 2
     if num_points < 2:

@@ -11,12 +11,13 @@ one-patch case of that path, so the two entry points agree to the bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .coefficients import CoefficientSet, SampledFunction, discrete_coeffs
 from .polynomials import Interval, affine_inverse, affine_map
-from .rules import QuadKind, QuadratureRule, make_rule
+from .rules import QuadKind, QuadratureRule, _integers, make_rule
 
 __all__ = [
     "Partition",
@@ -46,6 +47,7 @@ class Partition:
 
     @classmethod
     def equispaced(cls, interval: Interval, pieces: int) -> "Partition":
+        pieces = operator.index(_integers(pieces, "pieces"))
         if pieces < 1:
             raise ValueError("pieces must be >= 1")
         a, b = interval.a, interval.b

@@ -8,8 +8,10 @@ from scipy.integrate import quad as scipy_quad
 
 from localcheb import (
     Interval,
+    Partition,
     QuadKind,
     ShrinkSchedule,
+    StudyReport,
     coefficient_decay_study,
     composite_convergence_study,
     exp_fn,
@@ -257,6 +259,43 @@ def test_composite_study_dyadic_matches_plain_rate():
         composite_convergence_study(QuadKind.FEJER_I, exp_fn(), 2, iv, [0, 1])
 
 
+_SCHED = ShrinkSchedule.doubling(2)
+_IV = Interval(-0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coefficient_decay_study(QuadKind.FEJER_I, exp_fn(), 4, [1.9], _SCHED),
+        lambda: coefficient_decay_study(QuadKind.FEJER_I, exp_fn(), 4, [True], _SCHED),
+        lambda: quadrature_convergence_study(QuadKind.FEJER_I, exp_fn(), [4.7], _SCHED),
+        lambda: quadrature_convergence_study(QuadKind.FEJER_I, exp_fn(), 4.0, _SCHED),
+        lambda: composite_convergence_study(QuadKind.FEJER_I, exp_fn(), 2, _IV, [1, 2.9]),
+        lambda: composite_convergence_study(QuadKind.FEJER_I, exp_fn(), 2, _IV, [True]),
+        lambda: ShrinkSchedule((1, 2.5)),
+        lambda: ShrinkSchedule((True, 2)),
+        lambda: Partition.equispaced(_IV, 2.0),
+    ],
+    ids=["decay-float-k", "decay-bool-k", "quad-float-n", "quad-float-scalar-n",
+         "composite-float-p", "composite-bool-p", "schedule-float-p", "schedule-bool-p",
+         "equispaced-float-pieces"],
+)
+def test_studies_refuse_non_integer_sizes(call):
+    with pytest.raises(TypeError, match="must be an integer"):
+        call()
+
+
+def test_quad_study_takes_any_integer_scalar():
+    want = quadrature_convergence_study(QuadKind.FEJER_I, exp_fn(), 8, _SCHED)
+    for n in (np.int64(8), np.uint8(8), [np.int32(8)]):
+        assert quadrature_convergence_study(QuadKind.FEJER_I, exp_fn(), n, _SCHED) == want
+
+
+def test_study_report_refuses_unknown_kind():
+    with pytest.raises(ValueError, match="unknown study kind 'banana'"):
+        StudyReport("banana", ())
+
+
 def test_merge_reports():
     sched = ShrinkSchedule.doubling(2)
     a = quadrature_convergence_study(QuadKind.FEJER_I, power_abs_exp(0), 2, sched)
@@ -298,6 +337,13 @@ def test_trig_moment_needs_two_points(num_points):
 def test_trig_moment_needs_integer_orders(args):
     with pytest.raises(TypeError, match="must be an integer"):
         trig_moment(*args)
+
+
+def test_trig_moment_unsigned_orders_do_not_wrap():
+    # 200 + 56 wraps to 0 in uint8, which would pick a 2-point grid
+    got = trig_moment(np.uint8([200]), np.uint8([56]), np.uint8([0]), np.uint8([0]))
+    assert got.tolist() == [trig_moment(200, 56, 0, 0)]
+    assert got[0] != 0.0
 
 
 def test_trig_moment_arrays_match_scalar_calls():
