@@ -85,6 +85,7 @@ class TestFunction:
 
 def power_abs_exp(m: int) -> TestFunction:
     """f(x) = x^m |x| + e^x, which has exactly m continuous derivatives at 0."""
+    m = operator.index(_integers(m, "m"))
     if m < 0:
         raise ValueError("m must be nonnegative")
 
@@ -183,7 +184,7 @@ class ShrinkSchedule:
 
     @classmethod
     def doubling(cls, p_max: int) -> "ShrinkSchedule":
-        if p_max < 1:
+        if _integers(p_max, "p_max") < 1:
             raise ValueError("p_max must be >= 1")
         ps = []
         p = 1
@@ -298,10 +299,11 @@ def _quad_cells(r: QuadRow) -> list[str]:
             _fmt(r.error), _fmt(noc), _fmt(r.toc), "1" if r.floored else "0"]
 
 
-# each study kind's schema: CSV header, row -> cells map, row sort key
-_SCHEMAS: dict[str, tuple[str, Callable[[Any], list[str]], Callable[[Any], tuple]]] = {
-    "decay": ("family,rule,m,k,p,h,coeff_abs,ndr,tdr", _decay_cells, lambda r: (r.p, r.k)),
-    "quad": ("rule,m,n,p,h,error,noc,toc,floor_flag", _quad_cells,
+# each study kind's schema: row class, CSV header, row -> cells map, row sort key
+_SCHEMAS: dict[str, tuple[type, str, Callable[[Any], list[str]], Callable[[Any], tuple]]] = {
+    "decay": (DecayRow, "family,rule,m,k,p,h,coeff_abs,ndr,tdr", _decay_cells,
+              lambda r: (r.p, r.k)),
+    "quad": (QuadRow, "rule,m,n,p,h,error,noc,toc,floor_flag", _quad_cells,
              lambda r: (r.p, r.n, -1 if r.m is None else r.m)),
 }
 
@@ -316,15 +318,20 @@ class StudyReport:
     def __post_init__(self):
         if self.study not in _SCHEMAS:
             raise ValueError(f"unknown study kind {self.study!r}")
+        row_class = _SCHEMAS[self.study][0]
+        for row in self.rows:
+            if not isinstance(row, row_class):
+                raise TypeError(f"{self.study} study rows must be {row_class.__name__}, "
+                                f"got {type(row).__name__}")
 
     def to_csv(self) -> str:
-        header, cells, _ = _SCHEMAS[self.study]
+        _, header, cells, _ = _SCHEMAS[self.study]
         return "\n".join([header, *map(",".join, map(cells, self.rows))]) + "\n"
 
 
 def _report(study: str, rows: Iterable[DecayRow] | Iterable[QuadRow]) -> StudyReport:
     """A report of the given kind with its rows in that kind's order."""
-    _, _, sort_key = _SCHEMAS[study]
+    sort_key = _SCHEMAS[study][3]
     return StudyReport(study, tuple(sorted(rows, key=sort_key)))
 
 

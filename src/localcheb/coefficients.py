@@ -8,32 +8,27 @@ the matching rule; for that reason they carry their resolution in the
 ``source`` tag.
 
 All sums run in the angle domain.  Per rule, one analysis table gives the
-weighted samples b_j, a frequency shift s (0, 0, 1, 1/2, 1/2 for f1, cc, f2,
-f3, f4) and cos or sin; coefficient k is sum_j b_j trig((k + s) theta_j)
-over the rule's discrete norm.  A termwise math.fsum loop and a real FFT
-read that table without asking which rule they have.  With the node factors
-written as half-angle products the third- and fourth-kind quotients cancel,
-so no node ever divides by a small cosine or sine.
+weighted samples b_j and, from its family's angle form trig((k + s) theta) /
+D(theta) in rules.py, the shift s and cos or sin; coefficient k is sum_j b_j
+trig((k + s) theta_j) over the rule's discrete norm.  A termwise math.fsum
+loop and a real FFT read that table without asking which rule they have.
+The U, V and W node factors equal D^2 / s, so b_j = f_j D(theta_j) / s: the
+quotient cancels and no node ever divides by a small cosine or sine.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .polynomials import (
-    ChebKind,
-    Interval,
-    affine_map,
-    clamp_reference,
-    eval_cheb,
-    gamma,
-)
+from .polynomials import ChebKind, Interval, _recurrence, affine_map, clamp_reference, gamma
 from . import rules
 from .rules import (
+    _ANGLE_FORM,
     _FAMILY,
     QuadKind,
     _closed_set_normalizers,
@@ -107,17 +102,10 @@ class CoefficientSet:
 
     def evaluate(self, t: float) -> float:
         """Value of sum_k values[k] P_k(t) at the reference coordinate t."""
-        t = clamp_reference(t)
         vals = self.values
         total = vals[0]
-        if len(vals) == 1:
-            return total
-        prev = 1.0
-        cur = eval_cheb(self.family, 1, t)
-        total += vals[1] * cur
-        for k in range(2, len(vals)):
-            prev, cur = cur, 2.0 * t * cur - prev
-            total += vals[k] * cur
+        for v, p in zip(vals[1:], _recurrence(self.family, clamp_reference(t), len(vals))[1:]):
+            total += v * p
         return total
 
     def to_csv(self) -> str:
@@ -140,15 +128,14 @@ class CoefficientSet:
 
 
 def _analysis(kind: QuadKind, thetas: np.ndarray, fvals: np.ndarray) -> tuple[Any, float, Any]:
-    """The rule's analysis table: weighted samples b_j, frequency shift s, and cos or sin."""
-    if _FAMILY[kind] is ChebKind.FIRST:
-        # the node factor is 1 or 1/2 here, so f_j times it is exact
-        return fvals * _node_factors(kind, thetas), 0, np.cos
-    if kind is QuadKind.FEJER_II:
-        return fvals * np.sin(thetas), 1, np.sin
-    if kind is QuadKind.FEJER_III:
-        return fvals * (2.0 * np.cos(0.5 * thetas)), 0.5, np.cos
-    return fvals * (2.0 * np.sin(0.5 * thetas)), 0.5, np.sin
+    """The rule's analysis table: weighted samples b_j, frequency shift s, and cos or sin.
+
+    b_j is f_j w(t_j) / D(theta_j).  First-kind rules have D = 1 and a node
+    factor of 1 or 1/2, so f_j times it is exact; the other families have
+    w = D^2 / s, so b_j = f_j D / s, and dividing by s = 1 or 1/2 is exact.
+    """
+    s, trig, denom = _ANGLE_FORM[family_for_rule(kind)]
+    return fvals * (denom(thetas) / s if s else _node_factors(kind, thetas)), s, trig
 
 
 def _normalise(kind: QuadKind, n: int, ks: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -233,6 +220,7 @@ def continuous_coeffs(
     max(4096, 64 * (k_max + 1)) so the aliasing error stays negligible
     relative to the coefficients being asked for.
     """
+    k_max = operator.index(rules._integers(k_max, "k_max"))
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     needed = max(4096, 64 * (k_max + 1))

@@ -6,9 +6,9 @@ Every family satisfies the same three-term recurrence
     p_{n+1}(t) = 2 t p_n(t) - p_{n-1}(t),
 
 and they differ only in the degree-1 seed: t, 2t, 2t - 1, 2t + 1.  The
-recurrence is the primary evaluator; a closed trigonometric form is provided
-as an independent cross-check.  Everything in this module is pure and
-thread-safe.
+recurrence, run by ``_recurrence`` alone, is the primary evaluator of every
+module; a closed trigonometric form is provided as an independent
+cross-check.  Everything in this module is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -132,15 +132,18 @@ def eval_cheb(kind: ChebKind, degree: int, t: float) -> float:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    t = clamp_reference(t)
-    if degree == 0:
-        return 1.0
+    return _recurrence(kind, clamp_reference(t), degree + 1)[-1]
+
+
+def _recurrence(kind: ChebKind, t: float, count: int) -> list[float]:
+    """P_0(t)..P_{count-1}(t) of the family, for count >= 1 and t in [-1, 1]."""
     scale, offset = _SEED[kind]
-    prev = 1.0
-    cur = scale * t + offset
-    for _ in range(degree - 1):
+    prev, cur = 1.0, scale * t + offset
+    vals = [prev, cur][:count]
+    for _ in range(count - 2):
         prev, cur = cur, 2.0 * t * cur - prev
-    return cur
+        vals.append(cur)
+    return vals
 
 
 def eval_cheb_trig(kind: ChebKind, degree: int, theta: float) -> float:

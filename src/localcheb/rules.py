@@ -17,7 +17,11 @@ inverse FFT of the spectrum gives the same sums in O(n log n).  The paths
 agree to within 1e-16 and are deterministic, so a rule's output is
 byte-identical from run to run.
 
-Each node set makes its matched polynomial family discretely orthogonal.
+Each family's angle form P_k(cos theta) = trig((k + s) theta) / D(theta) is
+one row (s, trig, D) of a second table, and ``_norm`` gives each rule's
+orthogonality norm, P/4 or P/2; the weights, the family matrices, the
+coefficients' analysis and the closed forms read these without asking for
+the family.  Each node set makes its matched family discretely orthogonal:
 ``discrete_orthogonality_sum`` evaluates those sums directly and
 ``closed_form_orthogonality`` predicts them from a divisibility pattern, so
 the two can be cross-checked against each other.
@@ -34,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from .polynomials import ChebKind, clamp_reference, eval_cheb
+from .polynomials import ChebKind, _recurrence, clamp_reference
 
 __all__ = [
     "QuadKind",
@@ -77,6 +81,15 @@ def family_for_rule(kind: QuadKind) -> ChebKind:
     return _FAMILY[kind]
 
 
+# Each family's angle form P_k(cos theta) = trig((k + s) theta) / D(theta): (s, trig, D)
+_ANGLE_FORM = {
+    ChebKind.FIRST: (0, np.cos, lambda th: 1.0),
+    ChebKind.SECOND: (1, np.sin, np.sin),
+    ChebKind.THIRD: (0.5, np.cos, lambda th: np.cos(0.5 * th)),
+    ChebKind.FOURTH: (0.5, np.sin, lambda th: np.sin(0.5 * th)),
+}
+
+
 # Rules with at least this many nodes, and coefficient requests with at least
 # this many degrees, are computed by FFT; smaller ones by termwise sums.  The
 # FFT is already faster from n = 16 (weights) and n = 8 (coefficients), but
@@ -113,19 +126,20 @@ def _check_index(value: Any, name: str, top: int | None = None) -> Any:
     """An integer or integer array within 0..top, as an int or an int64 array.
 
     top None means no upper bound.  Non-integers raise TypeError, values
-    out of range ValueError.  The conversion keeps index arithmetic below 0
-    from wrapping around, as it would in unsigned numpy integers.
+    out of range ValueError; unsigned arrays are held to the int64 maximum.
+    The conversion keeps index arithmetic below 0 from wrapping around, as it
+    would in unsigned numpy integers.
     """
     value = _integers(value, name)
-    if isinstance(value, np.ndarray):
-        value = value.astype(np.int64, casting="safe", copy=False)
-    else:
+    if not isinstance(value, np.ndarray):
         value = operator.index(value)
+    elif value.dtype.kind == "u":
+        top = np.iinfo(np.int64).max if top is None else top
     inside = value >= 0 if top is None else (value >= 0) & (value <= top)
     if not (inside if isinstance(inside, bool) else inside.all()):
         bound = "be nonnegative" if top is None else f"lie in 0..{top}"
         raise ValueError(f"{name} must {bound}, got {value}")
-    return value
+    return value.astype(np.int64, copy=False) if isinstance(value, np.ndarray) else value
 
 
 # Each rule's node angles theta_j = (step * j + offset) * pi / den, where
@@ -155,6 +169,14 @@ def _period(kind: QuadKind, n: int) -> int:
     """Smallest P with theta_{j+1} - theta_j = 2 pi / P: the alias period of the nodes."""
     step, _, den_scale, den_shift = _GRID[kind]
     return 2 * (den_scale * n + den_shift) // step
+
+
+def _norm(kind: QuadKind, n: int) -> float:
+    """Orthogonality norm N_k of each degree k whose index sum 2k + 2s does not alias.
+
+    It is P/4, or P/2 for the families with a half-integer shift s.
+    """
+    return _period(kind, n) / (2 if _ANGLE_FORM[_FAMILY[kind]][0] % 1 else 4)
 
 
 def _closed_set_normalizers(n: int) -> np.ndarray:
@@ -195,12 +217,9 @@ def _weights(kind: QuadKind, n: int, thetas: np.ndarray) -> np.ndarray:
         acc = np.zeros(n)
         for freq, num, den in zip(m.tolist(), c.tolist(), d.tolist()):
             acc += num * trig(freq * thetas) / den
-    if kind is QuadKind.FEJER_I:
-        return (2.0 / n) * acc
-    if kind is QuadKind.CLENSHAW_CURTIS:
-        return 2.0 / ((n - 1.0) * _closed_set_normalizers(n)) * acc
-    denom = n + 1.0 if kind is QuadKind.FEJER_II else n + 0.5
-    return 4.0 * np.sin(thetas) / denom * acc
+    s = _ANGLE_FORM[_FAMILY[kind]][0]
+    factor = (2 / s) * np.sin(thetas) if s else _node_factors(kind, thetas)
+    return factor / _norm(kind, n) * acc
 
 
 @dataclass(frozen=True)
@@ -272,15 +291,9 @@ def _family_matrix(family: ChebKind, thetas: np.ndarray, degrees) -> np.ndarray:
     rule's angles are interior for its matched family (first-kind angles need
     no quotient at all).
     """
-    i = np.asarray(degrees).reshape(-1, 1)
+    s, trig, denom = _ANGLE_FORM[family]
     th = thetas.reshape(1, -1)
-    if family is ChebKind.FIRST:
-        return np.cos(i * th)
-    if family is ChebKind.SECOND:
-        return np.sin((i + 1) * th) / np.sin(th)
-    if family is ChebKind.THIRD:
-        return np.cos((i + 0.5) * th) / np.cos(0.5 * th)
-    return np.sin((i + 0.5) * th) / np.sin(0.5 * th)
+    return trig((np.asarray(degrees).reshape(-1, 1) + s) * th) / denom(th)
 
 
 def _node_factors(kind: QuadKind, thetas: np.ndarray) -> np.ndarray:
@@ -312,14 +325,9 @@ def discrete_orthogonality_sum(kind: QuadKind, n: int, i: int, k: int) -> float:
     return math.fsum((p_i * _node_factors(kind, thetas) * p_k).tolist())
 
 
-def _alias_hit(r: Any, period: int) -> Any:
-    """1 where r is a multiple of period, else 0, for an int or an integer array r."""
-    return (r % period == 0) * 1
-
-
-def _signed_alias_hit(r: Any, period: int) -> Any:
-    """_alias_hit, negated where r // period is odd."""
-    return (r % period == 0) * (1 - 2 * (r // period % 2))
+def _alias_hit(r: Any, period: int, flip: int) -> Any:
+    """1 where r is a multiple of period, else 0, negated where flip * (r // period) is odd."""
+    return (r % period == 0) * (1 - 2 * (flip * (r // period) % 2))
 
 
 def closed_form_orthogonality(kind: QuadKind, n: int, i: Any, k: Any) -> Any:
@@ -342,16 +350,13 @@ def closed_form_orthogonality(kind: QuadKind, n: int, i: Any, k: Any) -> Any:
     i = _check_index(i, "index i")
     k = _check_index(k, "index k", n - 1)
     p = _period(kind, n)
-    if kind is QuadKind.FEJER_I:
-        out = 0.5 * n * (_signed_alias_hit(i - k, p) + _signed_alias_hit(i + k, p))
-    elif kind is QuadKind.CLENSHAW_CURTIS:
-        out = 0.5 * (n - 1) * (_alias_hit(i - k, p) + _alias_hit(i + k, p))
-    elif kind is QuadKind.FEJER_II:
-        out = 0.5 * (n + 1) * (_alias_hit(i - k, p) - _alias_hit(i + k + 2, p))
-    elif kind is QuadKind.FEJER_III:
-        out = (n + 0.5) * (_signed_alias_hit(i - k, p) + _signed_alias_hit(i + k + 1, p))
-    else:
-        out = (n + 0.5) * (_alias_hit(i - k, p) - _alias_hit(i + k + 1, p))
+    step, offset, _, _ = _GRID[kind]
+    s, trig, _ = _ANGLE_FORM[_FAMILY[kind]]
+    # at r = m P every node has cos(r theta_j) = cos(m pi flip): odd flip signs the hits
+    flip = 2 * offset // step
+    sign = 1 if trig is np.cos else -1
+    hits = _alias_hit(i - k, p, flip) + sign * _alias_hit(i + k + int(2 * s), p, flip)
+    out = _norm(kind, n) * hits
     return out if isinstance(out, np.ndarray) else float(out)
 
 
@@ -370,9 +375,6 @@ def lagrange_basis_eval(kind: QuadKind, n: int, j: int, t: float) -> float:
     at_node = _family_matrix(family, thetas[j : j + 1], range(n))[:, 0].tolist()
     ks = np.arange(n)
     norms = closed_form_orthogonality(kind, n, ks, ks).tolist()
-    t = clamp_reference(t)
-    at_t = [1.0, eval_cheb(family, 1, t)]
-    for _ in range(n - 2):  # eval_cheb's recurrence, run once for every degree
-        at_t.append(2.0 * t * at_t[-1] - at_t[-2])
+    at_t = _recurrence(family, clamp_reference(t), n)
     terms = [factor * at_node[k] * at_t[k] / norms[k] for k in range(n)]
     return math.fsum(terms)

@@ -7,13 +7,16 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from localcheb import (
+    ChebKind,
     Interval,
     Partition,
     QuadKind,
+    QuadRow,
     ShrinkSchedule,
     StudyReport,
     coefficient_decay_study,
     composite_convergence_study,
+    continuous_coeffs,
     exp_fn,
     merge_reports,
     poly_fn,
@@ -275,10 +278,18 @@ _IV = Interval(-0.5, 1.0)
         lambda: ShrinkSchedule((1, 2.5)),
         lambda: ShrinkSchedule((True, 2)),
         lambda: Partition.equispaced(_IV, 2.0),
+        lambda: ShrinkSchedule.doubling(4.5),
+        lambda: ShrinkSchedule.doubling(True),
+        lambda: power_abs_exp(1.5),
+        lambda: power_abs_exp(True),
+        lambda: continuous_coeffs(ChebKind.FIRST, exp_fn().sampled(), _IV, True, 4096),
+        lambda: continuous_coeffs(ChebKind.FIRST, exp_fn().sampled(), _IV, 2.0, 4096),
     ],
     ids=["decay-float-k", "decay-bool-k", "quad-float-n", "quad-float-scalar-n",
          "composite-float-p", "composite-bool-p", "schedule-float-p", "schedule-bool-p",
-         "equispaced-float-pieces"],
+         "equispaced-float-pieces", "doubling-float-p-max", "doubling-bool-p-max",
+         "power-abs-exp-float-m", "power-abs-exp-bool-m", "continuous-bool-k-max",
+         "continuous-float-k-max"],
 )
 def test_studies_refuse_non_integer_sizes(call):
     with pytest.raises(TypeError, match="must be an integer"):
@@ -294,6 +305,13 @@ def test_quad_study_takes_any_integer_scalar():
 def test_study_report_refuses_unknown_kind():
     with pytest.raises(ValueError, match="unknown study kind 'banana'"):
         StudyReport("banana", ())
+
+
+def test_study_report_refuses_rows_of_another_kind():
+    row = QuadRow(QuadKind.FEJER_I, None, 4, 1, 1.5, 1e-3, None, 5.0, False)
+    with pytest.raises(TypeError, match="decay study rows must be DecayRow, got QuadRow"):
+        StudyReport("decay", (row,))
+    assert StudyReport("quad", (row,)).to_csv().count("\n") == 2
 
 
 def test_merge_reports():
@@ -344,6 +362,15 @@ def test_trig_moment_unsigned_orders_do_not_wrap():
     got = trig_moment(np.uint8([200]), np.uint8([56]), np.uint8([0]), np.uint8([0]))
     assert got.tolist() == [trig_moment(200, 56, 0, 0)]
     assert got[0] != 0.0
+
+
+def test_trig_moment_takes_uint64_orders():
+    # uint64 has no safe cast to int64, but every order that fits in one is taken
+    for ell, q in ((1, 0), (2, 2)):
+        got = trig_moment(np.uint64([ell]), np.uint64([q]), np.uint64([0]), 0)
+        assert got.tobytes() == np.float64(trig_moment(ell, q, 0, 0)).tobytes()
+    with pytest.raises(ValueError, match="ell must lie in 0..9223372036854775807"):
+        trig_moment(np.uint64([2**63]), 0, 0, 0)
 
 
 def test_trig_moment_arrays_match_scalar_calls():

@@ -224,6 +224,10 @@ def test_evaluate_matches_direct_family_sum():
             t = float(t)
             direct = math.fsum(v * eval_cheb(family, k, t) for k, v in enumerate(values))
             assert cs.evaluate(t) == pytest.approx(direct, abs=1e-14)
+            fold = values[0]  # the left fold v0 + v1 P_1 + ..., rounded term by term
+            for k, v in enumerate(values[1:], 1):
+                fold += v * eval_cheb(family, k, t)
+            assert cs.evaluate(t) == fold, (family, t)
 
 
 def test_single_coefficient_evaluate():

@@ -11,6 +11,7 @@ from localcheb import rules
 from localcheb import (
     QuadKind,
     eval_cheb,
+    eval_cheb_trig,
     closed_form_orthogonality,
     discrete_orthogonality_sum,
     family_for_rule,
@@ -326,6 +327,18 @@ def test_lagrange_basis_eval_matches_the_per_degree_sum():
                         for k in range(n)
                     ]
                     assert lagrange_basis_eval(kind, n, j, t) == math.fsum(terms), (kind, n, j, t)
+
+
+def test_family_matrix_matches_scalar_trig_forms():
+    # the angle-form table against eval_cheb_trig's own per-family formulas
+    for kind in ALL_KINDS:
+        family = family_for_rule(kind)
+        for n in range(kind.min_nodes, 17):
+            thetas = rule_thetas(kind, n)
+            degrees = np.arange(4 * n + 4)
+            got = rules._family_matrix(family, thetas, degrees)
+            want = [[eval_cheb_trig(family, d, th) for th in thetas.tolist()] for d in degrees]
+            assert np.all(np.abs(got - want) <= 1e-12 * (degrees[:, None] + 1)), (kind, n)
 
 
 def test_rule_arrays_are_read_only():
