@@ -25,12 +25,10 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
 from .coefficients import SampledFunction, discrete_coeffs
-from .polynomials import ChebKind, Interval
+from .polynomials import ChebKind, Interval, _integers
 from .quadrature import Partition, integrate, integrate_composite
-from .rules import QuadKind, _check_index, _integers, family_for_rule
+from .rules import QuadKind, _check_index, family_for_rule
 
 __all__ = [
     "DecayRow",
@@ -455,18 +453,6 @@ def merge_reports(*reports: StudyReport) -> StudyReport:
     return _report(study, [row for rep in reports for row in rep.rows])
 
 
-def _powers(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """base ** e for every e in exps, stacked in exps' shape ahead of base's axis.
-
-    Each distinct power is taken with e as a Python number, as a scalar call
-    would take it: an exponent array would skip numpy's fast path for e = 2
-    (a square, which can differ from pow(x, 2.0) in the last bit).
-    """
-    flat = exps.ravel().tolist()
-    table = {e: base**e for e in set(flat)}
-    return np.stack([table[e] for e in flat]).reshape(exps.shape + base.shape)
-
-
 def trig_moment(ell: Any, q: Any, k: Any, parity: Any, num_points: int | None = None) -> Any:
     """Trapezoid estimate of the moment sin^ell(t) cos^q(t) x {cos,sin}(k t) on [-pi, pi].
 
@@ -485,8 +471,13 @@ def trig_moment(ell: Any, q: Any, k: Any, parity: Any, num_points: int | None = 
     orders do not wrap; the result is then an array of that shape, every
     moment taken on one grid whose default, max(ell + q + k) + 2 points, is
     exact for all of them, and each moment equals its scalar call on the same
-    grid bit for bit.  Scalar arguments give a Python float.
+    grid bit for bit.  Scalar arguments give a Python float.  The moment is
+    taken with numpy, which the first call imports.
     """
+    import numpy as np
+
+    from .verify import _powers
+
     ell, q, k = (_check_index(v, name) for v, name in ((ell, "ell"), (q, "q"), (k, "k")))
     ell, q, k, parity = np.broadcast_arrays(ell, q, k, _check_index(parity, "parity", 1))
     if num_points is None:

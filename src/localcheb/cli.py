@@ -26,11 +26,14 @@ from .analysis import (
 from .polynomials import Interval
 from .quadrature import Partition, integrate_composite
 from .rules import QuadKind, make_rule
-from .verify import SUITES
 
 __all__ = ["MAX_NODES", "MAX_PATCHES", "main"]
 
 _RULE_CHOICES = [k.value for k in QuadKind]
+
+# The names of verify.SUITES, in report order.  verify imports numpy, so the
+# parser lists the names itself and only the verify command imports it.
+_SUITE_NAMES = ("orthogonality", "exactness", "kind-relations", "trig-moments")
 
 # Largest node count accepted by --n and --n-range, and largest index by
 # --k-range; 16x the largest the benchmark runs (4096), and 8x the largest
@@ -96,7 +99,7 @@ def _cmd_nodes(args) -> int:
         _emit(_json_dumps(rule.to_json_dict()), args.out)
     else:
         lines = ["j,theta,node,weight"]
-        columns = zip(rule.thetas.tolist(), rule.nodes.tolist(), rule.weights.tolist())
+        columns = zip(rule.theta_values, rule.node_values, rule.weight_values)
         for j, (theta, node, weight) in enumerate(columns):
             lines.append(f"{j},{theta:.17g},{node:.17g},{weight:.17g}")
         _emit("\n".join(lines) + "\n", args.out)
@@ -177,6 +180,8 @@ def _cmd_study_composite(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES
+
     names = [args.suite] if args.suite else list(SUITES)
     all_ok = True
     for name in names:
@@ -263,7 +268,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_study_composite)
 
     sp = sub.add_parser("verify", help="run the property suites and report pass/fail")
-    sp.add_argument("--suite", choices=sorted(SUITES), default=None)
+    sp.add_argument("--suite", choices=sorted(_SUITE_NAMES), default=None)
     sp.set_defaults(handler=_cmd_verify)
 
     return p

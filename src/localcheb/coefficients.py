@@ -14,6 +14,9 @@ trig((k + s) theta_j) over the rule's discrete norm.  A termwise math.fsum
 loop and a real FFT read that table without asking which rule they have.
 The U, V and W node factors equal D^2 / s, so b_j = f_j D(theta_j) / s: the
 quotient cancels and no node ever divides by a small cosine or sine.
+Below TRANSFORM_CUTOFF nodes the samples, the table and the coefficients
+are Python floats, so the paper's sizes import no numpy; from it on the
+table and its sums are numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,21 +24,27 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from .polynomials import ChebKind, Interval, _recurrence, affine_map, clamp_reference, gamma
+from .polynomials import (
+    ChebKind,
+    Interval,
+    _integers,
+    _recurrence,
+    affine_map,
+    clamp_reference,
+    gamma,
+)
 from . import rules
 from .rules import (
     _ANGLE_FORM,
     _FAMILY,
     QuadKind,
-    _closed_set_normalizers,
+    _angles,
+    _check_n,
     _node_factors,
     _period,
     family_for_rule,
-    rule_thetas,
 )
 
 __all__ = [
@@ -127,66 +136,105 @@ class CoefficientSet:
         }
 
 
-def _analysis(kind: QuadKind, thetas: np.ndarray, fvals: np.ndarray) -> tuple[Any, float, Any]:
-    """The rule's analysis table: weighted samples b_j, frequency shift s, and cos or sin.
+def _analysis(
+    kind: QuadKind, thetas: Sequence[float], fvals: Sequence[float]
+) -> tuple[list[float], float, Callable[[float], float]]:
+    """The rule's analysis table over Python floats: weighted samples b_j, shift s, cos or sin.
 
     b_j is f_j w(t_j) / D(theta_j).  First-kind rules have D = 1 and a node
     factor of 1 or 1/2, so f_j times it is exact; the other families have
-    w = D^2 / s, so b_j = f_j D / s, and dividing by s = 1 or 1/2 is exact.
+    w = D^2 / s, so b_j = f_j D / s with D = trig(s theta), and dividing by
+    s = 1 or 1/2 is exact.
     """
-    s, trig, denom = _ANGLE_FORM[family_for_rule(kind)]
-    return fvals * (denom(thetas) / s if s else _node_factors(kind, thetas)), s, trig
+    s, trig = _ANGLE_FORM[family_for_rule(kind)]
+    if s:
+        base = [f * (trig(s * th) / s) for f, th in zip(fvals, thetas)]
+    else:
+        base = [f * w for f, w in zip(fvals, _node_factors(kind, thetas))]
+    return base, s, trig
 
 
-def _normalise(kind: QuadKind, n: int, ks: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """The coefficients from their node sums: divide out the discrete norms."""
+def _normalise(kind: QuadKind, n: int, ks: Sequence[int], sums: Sequence[float]) -> list[float]:
+    """The coefficients from their node sums: divide out the discrete norms.
+
+    Each scale is formed once, as the same expression in n that a single
+    coefficient would use, so hoisting it out of the loop changes no bit.
+    """
     if kind is QuadKind.FEJER_I:
-        return np.where(ks == 0, 1.0, 2.0) / n * sums
+        first, rest = 1.0 / n, 2.0 / n
+        return [(first if k == 0 else rest) * v for k, v in zip(ks, sums)]
     if kind is QuadKind.CLENSHAW_CURTIS:
-        return 2.0 / ((n - 1.0) * _closed_set_normalizers(n)[ks]) * sums
+        # 2 / ((n - 1) gamma_tilde_k), where gamma_tilde_k is 2 at both ends and 1 inside
+        end, inside = 2.0 / ((n - 1.0) * 2.0), 2.0 / (n - 1.0)
+        return [(end if k == 0 or k == n - 1 else inside) * v for k, v in zip(ks, sums)]
     if kind is QuadKind.FEJER_II:
-        return 2.0 / (n + 1.0) * sums
-    return sums / (n + 0.5)
+        scale = 2.0 / (n + 1.0)
+        return [scale * v for v in sums]
+    den = n + 0.5
+    return [v / den for v in sums]
 
 
 def _coeff_values(
-    kind: QuadKind, thetas: np.ndarray, fvals: np.ndarray, n: int, ks: Sequence[int]
+    kind: QuadKind, thetas: Sequence[float], fvals: Sequence[float], n: int, ks: Sequence[int]
 ) -> list[float]:
     """Discrete coefficients for the requested degrees, given node samples.
 
-    Below TRANSFORM_CUTOFF degrees each inner product is formed termwise and
-    reduced with exact summation (math.fsum), so it is the correctly rounded
-    sum of its rounded terms; the paper's tables (n <= 16) and the goldens
-    come from this path.  From TRANSFORM_CUTOFF degrees on, all of them come
-    from one real FFT in O(n log n).  The two agree to within n * eps *
-    max|f|; most of that gap is the termwise path's own rounding of
-    k * theta_j before the cosine.  Both paths are deterministic, so repeated
-    runs are reproducible to the bit.
+    Each inner product is formed termwise and reduced with exact summation
+    (math.fsum), so it is the correctly rounded sum of its rounded terms.
+    Below TRANSFORM_CUTOFF nodes the table and its terms are Python floats;
+    the paper's tables (n <= 16) and the goldens come from this path, which
+    needs no numpy.  From TRANSFORM_CUTOFF nodes on, _array_sums forms them
+    with numpy instead.
     """
-    base, shift, trig = _analysis(kind, thetas, fvals)
-    if len(ks) >= rules.TRANSFORM_CUTOFF:
-        # theta_j = theta_0 + 2 pi j / P.  A half-integer shift makes k + s a
-        # whole frequency 2k + 1 of the half angles theta_j / 2, of period 2P.
-        q = 2 if shift % 1 else 1
-        ms = q * np.asarray(ks) + int(q * shift)
-        spectrum = np.conj(np.fft.rfft(base, n=q * _period(kind, n))[ms])
-        sums = np.exp(1j * (float(thetas[0]) / q) * ms) * spectrum
-        sums = sums.real if trig is np.cos else sums.imag
+    if n < rules.TRANSFORM_CUTOFF:
+        base, shift, trig = _analysis(kind, thetas, fvals)
+        sums = [math.fsum([b * trig((k + shift) * th) for b, th in zip(base, thetas)]) for k in ks]
     else:
-        sums = np.array([math.fsum((base * trig((k + shift) * thetas)).tolist()) for k in ks])
-    out = _normalise(kind, n, np.asarray(ks), sums).tolist()
+        sums = _array_sums(kind, thetas, fvals, n, ks)
+    out = _normalise(kind, n, ks, sums)
     return [0.0 if abs(v) < SUBNORMAL_FLUSH else v for v in out]
 
 
-def _sample_at_nodes(f: SampledFunction, interval: Interval, thetas: np.ndarray) -> np.ndarray:
-    # math.cos, not np.cos: numpy's cosine is not guaranteed to round the same way
+def _array_sums(
+    kind: QuadKind, thetas: Sequence[float], fvals: Sequence[float], n: int, ks: Sequence[int]
+) -> list[float]:
+    """The node sums of _coeff_values from TRANSFORM_CUTOFF nodes on, over float64 arrays.
+
+    The analysis table is _analysis', formed by the same elementwise
+    operations on arrays; at these sizes a Python loop over the nodes would
+    cost more than the sums.  Fewer than TRANSFORM_CUTOFF degrees, as continuous
+    coefficients ask for, keep the termwise sums, one array row per degree;
+    more come from one real FFT in O(n log n).  The FFT and the termwise
+    sums agree to within n * eps * max|f|; most of that gap is the termwise
+    sums' own rounding of k * theta_j before the cosine.  Both are
+    deterministic, so repeated runs are reproducible to the bit.
+    """
+    import numpy as np
+
+    shift, trig = _ANGLE_FORM[family_for_rule(kind)]
+    trig = getattr(np, trig.__name__)
+    th, fv = np.array(thetas), np.array(fvals)
+    base = fv * (trig(shift * th) / shift if shift else np.array(_node_factors(kind, thetas)))
+    if len(ks) < rules.TRANSFORM_CUTOFF:
+        return [math.fsum((base * trig((k + shift) * th)).tolist()) for k in ks]
+    # theta_j = theta_0 + 2 pi j / P.  A half-integer shift makes k + s a
+    # whole frequency 2k + 1 of the half angles theta_j / 2, of period 2P.
+    q = 2 if shift % 1 else 1
+    ms = q * np.asarray(ks) + int(q * shift)
+    spectrum = np.conj(np.fft.rfft(base, n=q * _period(kind, n))[ms])
+    sums = np.exp(1j * (float(th[0]) / q) * ms) * spectrum
+    return (sums.real if trig is np.cos else sums.imag).tolist()
+
+
+def _sample_at_nodes(
+    f: SampledFunction, interval: Interval, thetas: Sequence[float]
+) -> list[float]:
     evaluator = f.evaluator
-    xs = [affine_map(interval, math.cos(th)) for th in thetas.tolist()]
-    fvals = np.array([float(evaluator(x)) for x in xs])
-    finite = np.isfinite(fvals)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        raise ValueError(f"non-finite sample {float(fvals[j])!r} at node {j} (x = {xs[j]!r})")
+    xs = [affine_map(interval, math.cos(th)) for th in thetas]
+    fvals = [float(evaluator(x)) for x in xs]
+    if not all(map(math.isfinite, fvals)):
+        j = next(j for j, v in enumerate(fvals) if not math.isfinite(v))
+        raise ValueError(f"non-finite sample {fvals[j]!r} at node {j} (x = {xs[j]!r})")
     return fvals
 
 
@@ -199,7 +247,8 @@ def discrete_coeffs(
     reproduces those samples: it is the unique interpolant of f at the
     rule's (mapped) nodes within the matched family's degree-(n-1) span.
     """
-    thetas = rule_thetas(kind, n)
+    n = _check_n(kind, n)
+    thetas = _angles(kind, n)
     fvals = _sample_at_nodes(f, interval, thetas)
     values = _coeff_values(kind, thetas, fvals, n, range(n))
     return CoefficientSet(
@@ -220,14 +269,15 @@ def continuous_coeffs(
     max(4096, 64 * (k_max + 1)) so the aliasing error stays negligible
     relative to the coefficients being asked for.
     """
-    k_max = operator.index(rules._integers(k_max, "k_max"))
+    k_max = operator.index(_integers(k_max, "k_max"))
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     needed = max(4096, 64 * (k_max + 1))
     if n_ref < needed:
         raise ValueError(f"n_ref={n_ref} is too coarse for k_max={k_max}; need >= {needed}")
     kind = _RULE_FOR_FAMILY[family]
-    thetas = rule_thetas(kind, n_ref)
+    n_ref = _check_n(kind, n_ref)
+    thetas = _angles(kind, n_ref)
     fvals = _sample_at_nodes(f, interval, thetas)
     values = _coeff_values(kind, thetas, fvals, n_ref, range(k_max + 1))
     return CoefficientSet(

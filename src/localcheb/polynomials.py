@@ -14,8 +14,11 @@ cross-check.  Everything in this module is pure and thread-safe.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 __all__ = [
     "ChebKind",
@@ -32,6 +35,27 @@ __all__ = [
 # Arguments this far outside [-1, 1] (or [0, pi]) are treated as round-off
 # and clamped; anything further out is a domain error.
 REFERENCE_BAND = 1e-12
+
+
+def _is_array(value: Any) -> bool:
+    """True for a numpy array; numpy is not imported to find out, so a plain value costs nothing."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
+def _integers(value: Any, name: str) -> Any:
+    """value itself if it is an integer or an integer array; TypeError otherwise.
+
+    bool, float and float arrays are refused even where they hold whole
+    numbers, so a size or an index is never truncated or taken as a flag.
+    """
+    if _is_array(value):
+        ok = value.dtype.kind in "iu"
+    else:
+        ok = not isinstance(value, bool) and hasattr(type(value), "__index__")
+    if not ok:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class ChebKind(Enum):
@@ -112,6 +136,7 @@ def affine_inverse(interval: Interval, x: float) -> float:
 
 def gamma(n: int) -> int:
     """Interior normalizer: 1 for index 0, else 2."""
+    n = operator.index(_integers(n, "index"))
     if n < 0:
         raise ValueError("index must be nonnegative")
     return 1 if n == 0 else 2
@@ -119,6 +144,8 @@ def gamma(n: int) -> int:
 
 def gamma_tilde(j: int, n: int) -> int:
     """Endpoint normalizer for an n-point closed node set: 2 at j in {0, n-1}, else 1."""
+    j = operator.index(_integers(j, "index j"))
+    n = operator.index(_integers(n, "node count n"))
     if n < 1 or not 0 <= j <= n - 1:
         raise ValueError(f"index {j} outside 0..{n - 1}")
     return 2 if j in (0, n - 1) else 1
@@ -130,6 +157,7 @@ def eval_cheb(kind: ChebKind, degree: int, t: float) -> float:
     Runs the shared three-term recurrence upward from the family seed;
     cost is O(degree).
     """
+    degree = operator.index(_integers(degree, "degree"))
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return _recurrence(kind, clamp_reference(t), degree + 1)[-1]
@@ -154,6 +182,7 @@ def eval_cheb_trig(kind: ChebKind, degree: int, theta: float) -> float:
     U_n(1) = n + 1, U_n(-1) = (-1)^n (n + 1), V_n(-1) = (-1)^n (2n + 1),
     W_n(1) = 2n + 1.
     """
+    degree = operator.index(_integers(degree, "degree"))
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if not -REFERENCE_BAND <= theta <= math.pi + REFERENCE_BAND:

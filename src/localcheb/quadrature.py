@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .coefficients import CoefficientSet, SampledFunction, discrete_coeffs
-from .polynomials import Interval, affine_inverse, affine_map
-from .rules import QuadKind, QuadratureRule, _integers, make_rule
+from .polynomials import Interval, _integers, affine_inverse, affine_map
+from .rules import QuadKind, QuadratureRule, make_rule
 
 __all__ = [
     "Partition",
@@ -80,10 +80,10 @@ def _patch_sums(
 ) -> list[float]:
     """The rule's weighted sum on each patch, each reduced exactly with math.fsum.
 
-    Nodes and weights become Python floats once per call, so each node costs
-    one affine_map call, one evaluation and one multiply.
+    The rule holds its nodes and weights as Python floats, so each node
+    costs one affine_map call, one evaluation and one multiply.
     """
-    tw = list(zip(rule.nodes.tolist(), rule.weights.tolist()))
+    tw = list(zip(rule.node_values, rule.weight_values))
     return [
         0.5 * patch.h * math.fsum([w * float(f(affine_map(patch, t))) for t, w in tw])
         for patch in patches

@@ -9,16 +9,18 @@ decreasing.  One table row per rule gives its angle grid theta_j =
 FFTs and the closed-form orthogonality read.
 
 Weights come from one trigonometric sum per rule, kept as a spectrum
-(frequencies m, numerators c, denominators d, cos or sin) and summed by two
-paths that never ask for the rule.  Below TRANSFORM_CUTOFF nodes one loop
-adds c trig(m theta) / d term by term in O(n^2); this covers the paper's
-tables (n <= 16) and the goldens.  From TRANSFORM_CUTOFF nodes on, one
-inverse FFT of the spectrum gives the same sums in O(n log n).  The paths
-agree to within 1e-16 and are deterministic, so a rule's output is
-byte-identical from run to run.
+(terms m, c, d and cos or sin) and summed by two paths that never ask for
+the rule.  Below TRANSFORM_CUTOFF nodes one loop over Python floats adds
+c trig(m theta) / d term by term in O(n^2); this covers the paper's tables
+(n <= 16) and the goldens, and needs no numpy.  From TRANSFORM_CUTOFF nodes
+on, one inverse FFT of the spectrum gives the same sums in O(n log n).  The
+paths agree to within 1e-16 and are deterministic, so a rule's output is
+byte-identical from run to run.  numpy is imported only by the FFT, the
+array accessors and the orthogonality helpers, so a small rule costs no
+numpy import.
 
-Each family's angle form P_k(cos theta) = trig((k + s) theta) / D(theta) is
-one row (s, trig, D) of a second table, and ``_norm`` gives each rule's
+Each family's angle form P_k(cos theta) = trig((k + s) theta) / trig(s theta)
+is one row (s, trig) of a second table, and ``_norm`` gives each rule's
 orthogonality norm, P/4 or P/2; the weights, the family matrices, the
 coefficients' analysis and the closed forms read these without asking for
 the family.  Each node set makes its matched family discretely orthogonal:
@@ -34,11 +36,12 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-import numpy as np
+from .polynomials import ChebKind, _integers, _is_array, _recurrence, clamp_reference
 
-from .polynomials import ChebKind, _recurrence, clamp_reference
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadKind",
@@ -81,12 +84,14 @@ def family_for_rule(kind: QuadKind) -> ChebKind:
     return _FAMILY[kind]
 
 
-# Each family's angle form P_k(cos theta) = trig((k + s) theta) / D(theta): (s, trig, D)
+# Each family's angle form P_k(cos theta) = trig((k + s) theta) / D(theta): (s, trig).
+# The denominator D(theta) = trig(s theta) is 1, sin theta, cos(theta/2), sin(theta/2);
+# array code takes numpy's function of the same name.
 _ANGLE_FORM = {
-    ChebKind.FIRST: (0, np.cos, lambda th: 1.0),
-    ChebKind.SECOND: (1, np.sin, np.sin),
-    ChebKind.THIRD: (0.5, np.cos, lambda th: np.cos(0.5 * th)),
-    ChebKind.FOURTH: (0.5, np.sin, lambda th: np.sin(0.5 * th)),
+    ChebKind.FIRST: (0, math.cos),
+    ChebKind.SECOND: (1, math.sin),
+    ChebKind.THIRD: (0.5, math.cos),
+    ChebKind.FOURTH: (0.5, math.sin),
 }
 
 
@@ -94,24 +99,10 @@ _ANGLE_FORM = {
 # this many degrees, are computed by FFT; smaller ones by termwise sums.  The
 # FFT is already faster from n = 16 (weights) and n = 8 (coefficients), but
 # it is not bit-equal to the termwise sums, so the cutoff sits well above the
-# paper's n <= 16 to keep those tables and the goldens byte-identical; the
-# termwise path costs under 0.6 ms at n = 63.
+# paper's n <= 16 to keep those tables and the goldens byte-identical.  The
+# termwise path runs over Python floats and needs no numpy; at n = 63 it takes
+# about 0.4 ms per rule and 0.7 ms per coefficient set.
 TRANSFORM_CUTOFF = 64
-
-
-def _integers(value: Any, name: str) -> Any:
-    """value itself if it is an integer or an integer array; TypeError otherwise.
-
-    bool, float and float arrays are refused even where they hold whole
-    numbers, so a size or an index is never truncated or taken as a flag.
-    """
-    if isinstance(value, np.ndarray):
-        ok = value.dtype.kind in "iu"
-    else:
-        ok = not isinstance(value, bool) and hasattr(type(value), "__index__")
-    if not ok:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _check_n(kind: QuadKind, n: Any) -> int:
@@ -131,15 +122,16 @@ def _check_index(value: Any, name: str, top: int | None = None) -> Any:
     would in unsigned numpy integers.
     """
     value = _integers(value, name)
-    if not isinstance(value, np.ndarray):
+    array = _is_array(value)
+    if not array:
         value = operator.index(value)
     elif value.dtype.kind == "u":
-        top = np.iinfo(np.int64).max if top is None else top
+        top = 2**63 - 1 if top is None else top  # the int64 maximum
     inside = value >= 0 if top is None else (value >= 0) & (value <= top)
-    if not (inside if isinstance(inside, bool) else inside.all()):
+    if not (inside.all() if array else inside):
         bound = "be nonnegative" if top is None else f"lie in 0..{top}"
         raise ValueError(f"{name} must {bound}, got {value}")
-    return value.astype(np.int64, copy=False) if isinstance(value, np.ndarray) else value
+    return value.astype("int64", copy=False) if array else value
 
 
 # Each rule's node angles theta_j = (step * j + offset) * pi / den, where
@@ -153,16 +145,22 @@ _GRID = {
 }
 
 
+def _angles(kind: QuadKind, n: int) -> list[float]:
+    """Node angles theta_j in increasing order, as Python floats, for an n that _check_n passed."""
+    step, offset, den_scale, den_shift = _GRID[kind]
+    scale = math.pi / (den_scale * n + den_shift)
+    return [i * scale for i in range(offset, step * n + offset, step)]
+
+
 def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
-    """Node angles theta_j in increasing order; the nodes are cos(theta_j).
+    """Node angles theta_j in increasing order as a float64 array; the nodes are cos(theta_j).
 
     Exposed separately from make_rule because sampling-only uses (coefficient
     computation) need the angles but not the weight construction.
     """
-    n = _check_n(kind, n)
-    step, offset, den_scale, den_shift = _GRID[kind]
-    j = np.arange(n, dtype=float)
-    return (step * j + offset) * (math.pi / (den_scale * n + den_shift))
+    import numpy as np
+
+    return np.array(_angles(kind, _check_n(kind, n)))
 
 
 def _period(kind: QuadKind, n: int) -> int:
@@ -179,15 +177,8 @@ def _norm(kind: QuadKind, n: int) -> float:
     return _period(kind, n) / (2 if _ANGLE_FORM[_FAMILY[kind]][0] % 1 else 4)
 
 
-def _closed_set_normalizers(n: int) -> np.ndarray:
-    """gamma_tilde(j, n) for j = 0..n-1: 2 at both ends, 1 inside."""
-    gj = np.ones(n)
-    gj[[0, -1]] = 2.0
-    return gj
-
-
-def _spectrum(kind: QuadKind, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Any]:
-    """The weights' moment sum as sum_m c_m trig(m theta) / d_m: (m, c, d, trig).
+def _spectrum(kind: QuadKind, n: int) -> tuple[list[tuple[int, int, int]], Callable]:
+    """The weights' moment sum as sum_m c_m trig(m theta) / d_m: its terms (m, c, d) and trig.
 
     First-kind rules sum cosines of the even m up to n (n - 1 for cc) with
     d = m^2 - 1 and c = -2, except c = -1 at m = 0 and at cc's endpoint
@@ -197,65 +188,96 @@ def _spectrum(kind: QuadKind, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if _FAMILY[kind] is ChebKind.FIRST:
         closed = kind is QuadKind.CLENSHAW_CURTIS
         top = n - 1 if closed else n
-        m = np.arange(0, top + 1, 2)
-        c = np.where((m == 0) | (closed & (m == top)), -1, -2)
-        return m, c, m * m - 1, np.cos
-    m = np.arange(1, n + 1, 2)
-    return m, np.ones_like(m), m, np.sin
+        ends = (0, top) if closed else (0,)
+        return [(m, -1 if m in ends else -2, m * m - 1) for m in range(0, top + 1, 2)], math.cos
+    return [(m, 1, m) for m in range(1, n + 1, 2)], math.sin
 
 
-def _weights(kind: QuadKind, n: int, thetas: np.ndarray) -> np.ndarray:
-    m, c, d, trig = _spectrum(kind, n)
+def _weights(kind: QuadKind, n: int, thetas: Sequence[float]) -> list[float]:
+    terms, trig = _spectrum(kind, n)
     if n >= TRANSFORM_CUTOFF:
+        import numpy as np
+
         # theta_j = theta_0 + 2 pi j / P, so the sum is the unscaled length-P
         # inverse DFT of (c / d) e^{i m theta_0}, read at j < n
+        m, c, d = (np.array(column) for column in zip(*terms))
         spectrum = np.zeros(_period(kind, n), dtype=complex)
         spectrum[m] = c / d * np.exp(1j * float(thetas[0]) * m)
         sums = np.fft.ifft(spectrum, norm="forward")[:n]
-        acc = sums.real if trig is np.cos else sums.imag
+        acc = (sums.real if trig is math.cos else sums.imag).tolist()
     else:
-        acc = np.zeros(n)
-        for freq, num, den in zip(m.tolist(), c.tolist(), d.tolist()):
-            acc += num * trig(freq * thetas) / den
+        acc = []
+        for th in thetas:
+            total = 0.0
+            for m, c, d in terms:
+                total += c * trig(m * th) / d
+            acc.append(total)
     s = _ANGLE_FORM[_FAMILY[kind]][0]
-    factor = (2 / s) * np.sin(thetas) if s else _node_factors(kind, thetas)
-    return factor / _norm(kind, n) * acc
+    factors = [(2 / s) * math.sin(th) for th in thetas] if s else _node_factors(kind, thetas)
+    norm = _norm(kind, n)
+    return [factor / norm * total for factor, total in zip(factors, acc)]
+
+
+def _read_only(values: tuple[float, ...]) -> np.ndarray:
+    """values as a float64 array that cannot be written to."""
+    import numpy as np
+
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Angles, nodes and weights of an n-point rule on [-1, 1].
 
-    Instances are immutable: the dataclass is frozen and the arrays are
-    marked read-only.  Construction validates the basic sanity invariants
-    (weights positive and summing to 2, nodes strictly decreasing).
+    The fields hold them as tuples of Python floats, which the library
+    reads; ``thetas``, ``nodes`` and ``weights`` give the same values as
+    read-only float64 arrays, built (and numpy imported) on first access.
+    Instances are immutable.  Construction validates the basic sanity
+    invariants (weights positive and summing to 2, nodes strictly
+    decreasing).
     """
 
     kind: QuadKind
     n: int
-    thetas: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
+    theta_values: tuple[float, ...]
+    node_values: tuple[float, ...]
+    weight_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for arr in (self.thetas, self.nodes, self.weights):
-            arr.setflags(write=False)
-        total = math.fsum(self.weights.tolist())
+        weights, nodes = self.weight_values, self.node_values
+        total = math.fsum(weights)
         if abs(total - 2.0) > 1e-13:
             raise ValueError(f"weights sum to {total!r}, expected 2")
-        if not np.all(self.weights > 0.0):
+        if not all(w > 0.0 for w in weights):
             raise ValueError("weights must all be positive")
-        if not np.all(np.diff(self.nodes) < 0.0):
+        if not all(hi > lo for hi, lo in zip(nodes, nodes[1:])):
             raise ValueError("nodes must be strictly decreasing")
 
+    @functools.cached_property
+    def thetas(self) -> np.ndarray:
+        """Node angles in increasing order, as a read-only float64 array."""
+        return _read_only(self.theta_values)
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """Nodes cos(theta_j) in decreasing order, as a read-only float64 array."""
+        return _read_only(self.node_values)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Weights on [-1, 1], as a read-only float64 array."""
+        return _read_only(self.weight_values)
+
     def to_json_dict(self) -> dict[str, Any]:
-        """Plain-JSON form: kind label, n, and the three arrays as lists."""
+        """Plain-JSON form: kind label, n, and the angles, nodes and weights as lists."""
         return {
             "kind": self.kind.value,
             "n": self.n,
-            "thetas": self.thetas.tolist(),
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
+            "thetas": list(self.theta_values),
+            "nodes": list(self.node_values),
+            "weights": list(self.weight_values),
         }
 
 
@@ -274,39 +296,45 @@ def make_rule(kind: QuadKind, n: int) -> QuadratureRule:
 
 @functools.lru_cache(maxsize=128)
 def _build_rule(kind: QuadKind, n: int) -> QuadratureRule:
-    thetas = rule_thetas(kind, n)
+    thetas = _angles(kind, n)
     return QuadratureRule(
         kind=kind,
         n=n,
-        thetas=thetas,
-        nodes=np.cos(thetas),
-        weights=_weights(kind, n, thetas),
+        theta_values=tuple(thetas),
+        node_values=tuple(map(math.cos, thetas)),
+        weight_values=tuple(_weights(kind, n, thetas)),
     )
 
 
-def _family_matrix(family: ChebKind, thetas: np.ndarray, degrees) -> np.ndarray:
+def _family_matrix(family: ChebKind, thetas: Any, degrees: Any) -> np.ndarray:
     """P_i(cos theta_j) for each degree i (rows) and angle theta_j (columns).
 
     Quotient forms are safe here: callers only pass rule angles, and every
     rule's angles are interior for its matched family (first-kind angles need
-    no quotient at all).
+    no quotient at all, and divide by cos 0 = 1).
     """
-    s, trig, denom = _ANGLE_FORM[family]
-    th = thetas.reshape(1, -1)
-    return trig((np.asarray(degrees).reshape(-1, 1) + s) * th) / denom(th)
+    import numpy as np
+
+    s, trig = _ANGLE_FORM[family]
+    trig = getattr(np, trig.__name__)
+    th = np.asarray(thetas, dtype=float).reshape(1, -1)
+    return trig((np.asarray(degrees).reshape(-1, 1) + s) * th) / trig(s * th)
 
 
-def _node_factors(kind: QuadKind, thetas: np.ndarray) -> np.ndarray:
+def _node_factors(kind: QuadKind, thetas: Sequence[float]) -> list[float]:
     """Node factor w(t_j) of discrete_orthogonality_sum at each angle (f2's 1 - t^2 as sin^2)."""
     if kind is QuadKind.FEJER_I:
-        return np.ones_like(thetas)
+        return [1.0] * len(thetas)
     if kind is QuadKind.CLENSHAW_CURTIS:
-        return 1.0 / _closed_set_normalizers(thetas.size)
+        # 1 / gamma_tilde_j: 1/2 at both ends, 1 inside
+        factors = [1.0] * len(thetas)
+        factors[0] = factors[-1] = 0.5
+        return factors
     if kind is QuadKind.FEJER_II:
-        return np.sin(thetas) ** 2
+        return [sin * sin for sin in map(math.sin, thetas)]
     if kind is QuadKind.FEJER_III:
-        return 1.0 + np.cos(thetas)
-    return 1.0 - np.cos(thetas)
+        return [1.0 + math.cos(th) for th in thetas]
+    return [1.0 - math.cos(th) for th in thetas]
 
 
 def discrete_orthogonality_sum(kind: QuadKind, n: int, i: int, k: int) -> float:
@@ -320,7 +348,7 @@ def discrete_orthogonality_sum(kind: QuadKind, n: int, i: int, k: int) -> float:
     n = _check_n(kind, n)
     i = operator.index(_check_index(i, "index i"))
     k = operator.index(_check_index(k, "index k"))
-    thetas = rule_thetas(kind, n)
+    thetas = _angles(kind, n)
     p_i, p_k = _family_matrix(_FAMILY[kind], thetas, [i, k])
     return math.fsum((p_i * _node_factors(kind, thetas) * p_k).tolist())
 
@@ -351,13 +379,13 @@ def closed_form_orthogonality(kind: QuadKind, n: int, i: Any, k: Any) -> Any:
     k = _check_index(k, "index k", n - 1)
     p = _period(kind, n)
     step, offset, _, _ = _GRID[kind]
-    s, trig, _ = _ANGLE_FORM[_FAMILY[kind]]
+    s, trig = _ANGLE_FORM[_FAMILY[kind]]
     # at r = m P every node has cos(r theta_j) = cos(m pi flip): odd flip signs the hits
     flip = 2 * offset // step
-    sign = 1 if trig is np.cos else -1
+    sign = 1 if trig is math.cos else -1
     hits = _alias_hit(i - k, p, flip) + sign * _alias_hit(i + k + int(2 * s), p, flip)
     out = _norm(kind, n) * hits
-    return out if isinstance(out, np.ndarray) else float(out)
+    return out if _is_array(out) else float(out)
 
 
 def lagrange_basis_eval(kind: QuadKind, n: int, j: int, t: float) -> float:
@@ -367,11 +395,13 @@ def lagrange_basis_eval(kind: QuadKind, n: int, j: int, t: float) -> float:
     norms N_k are the diagonal closed forms, rather than node products, so
     one evaluation costs O(n).
     """
+    import numpy as np
+
     n = _check_n(kind, n)
     j = operator.index(_check_index(j, "node index j", n - 1))
-    thetas = rule_thetas(kind, n)
+    thetas = _angles(kind, n)
     family = _FAMILY[kind]
-    factor = float(_node_factors(kind, thetas)[j])
+    factor = _node_factors(kind, thetas)[j]
     at_node = _family_matrix(family, thetas[j : j + 1], range(n))[:, 0].tolist()
     ks = np.arange(n)
     norms = closed_form_orthogonality(kind, n, ks, ks).tolist()

@@ -234,6 +234,47 @@ def test_verify_output_matches_golden(capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / "verify.txt").read_bytes()
 
 
+def test_suite_names_match_verify():
+    # the parser lists the suites itself, so that only the verify command imports verify
+    assert cli._SUITE_NAMES == tuple(verify.SUITES)
+
+
+# Runs in a fresh interpreter: every command at the paper's sizes, below the
+# FFT cutoff, must leave numpy unimported; larger sizes and verify load it.
+_NUMPY_FREE_SCRIPT = """
+import sys
+from localcheb.cli import main
+
+if "numpy" in sys.modules:
+    sys.exit("numpy imported by: import localcheb.cli")
+
+def run(argv, numpy_free):
+    if main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+    if numpy_free and "numpy" in sys.modules:
+        sys.exit(f"numpy imported by: {argv}")
+
+run(["nodes", "--rule", "f1", "--n", "8"], True)
+run(["nodes", "--rule", "cc", "--n", "16", "--json"], True)
+run(["coeffs", "--rule", "f3", "--n", "16", "--fn", "exp", "--a", "-0.5", "--b", "1"], True)
+run(["coeffs", "--rule", "f2", "--n", "8", "--fn", "exp", "--a", "0", "--b", "1", "--json"], True)
+run(["quad", "--rule", "f1", "--n", "8", "--fn", "exp", "--a", "0", "--b", "1"], True)
+run(["quad", "--rule", "f4", "--n", "16", "--patches", "7", "--fn", "exp", "--a", "0", "--b", "1"], True)
+run(["study-decay", "--rule", "f1", "--n", "8", "--m", "2", "--p-max", "64"], True)
+run(["study-quad", "--rule", "f2", "--n-range", "2..16", "--m-range", "0..2", "--p-max", "64"], True)
+run(["study-composite", "--rule", "cc", "--n", "4", "--fn", "xm_abs_exp", "--m", "0",
+     "--a", "-0.5", "--b", "1", "--p-max", "64"], True)
+run(["nodes", "--rule", "f1", "--n", "64"], False)
+run(["verify", "--suite", "exactness"], False)
+"""
+
+
+def test_small_commands_do_not_import_numpy():
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setitem(verify.SUITES, "orthogonality", lambda: (False, "forced failure"))
     rc = main(["verify", "--suite", "orthogonality"])

@@ -10,12 +10,20 @@ Python versions.
 After an intentional change to any output, regenerate the file with:
 
     PYTHONPATH=src python3 tests/test_cli_sweep.py > tests/golden/cli_sweep.txt
+
+With ``--fresh`` each argv runs in its own ``python -m localcheb`` process
+instead of through ``main`` in this one, as a user runs it.  pytest imports
+numpy before any case runs, so only this mode checks the bytes of commands
+that run without numpy; it takes about a minute:
+
+    PYTHONPATH=src python3 tests/test_cli_sweep.py --fresh | diff - tests/golden/cli_sweep.txt
 """
 
 import contextlib
 import hashlib
 import io
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,17 +73,28 @@ def _cases() -> list[list[str]]:
     return cases
 
 
-def _run(argv: list[str]) -> str:
+def _line(argv: list[str], rc: int, out: str, err: str) -> str:
     """The sweep line of one argv: sha256 of rc, stdout and stderr, then the argv."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    blob = f"{rc}\0{out.getvalue()}\0{err.getvalue()}".encode()
+    blob = f"{rc}\0{out}\0{err}".encode()
     return f"{hashlib.sha256(blob).hexdigest()}  {shlex.join(argv)}"
 
 
-def sweep_lines() -> list[str]:
-    return [_run(argv) for argv in _cases()]
+def _run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return _line(argv, rc, out.getvalue(), err.getvalue())
+
+
+def _run_fresh(argv: list[str]) -> str:
+    proc = subprocess.run([sys.executable, "-m", "localcheb", *argv],
+                          capture_output=True, text=True, timeout=120)
+    return _line(argv, proc.returncode, proc.stdout, proc.stderr)
+
+
+def sweep_lines(fresh: bool = False) -> list[str]:
+    run = _run_fresh if fresh else _run
+    return [run(argv) for argv in _cases()]
 
 
 def test_cli_sweep_matches_golden():
@@ -87,4 +106,7 @@ def test_cli_sweep_matches_golden():
 
 
 if __name__ == "__main__":
-    sys.stdout.write("".join(line + "\n" for line in sweep_lines()))
+    fresh = sys.argv[1:] == ["--fresh"]
+    if sys.argv[1:] and not fresh:
+        sys.exit(f"usage: {sys.argv[0]} [--fresh]")
+    sys.stdout.write("".join(line + "\n" for line in sweep_lines(fresh)))

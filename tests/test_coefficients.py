@@ -126,6 +126,27 @@ def test_fft_coefficients_match_exact_sums(kind, monkeypatch):
         assert np.max(np.abs(fast - exact)) <= bound, n
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_array_rows_match_python_termwise_sums(kind, monkeypatch):
+    """Few degrees of many nodes: the array rows against the Python-float loop.
+
+    Both reduce the same terms with math.fsum; only the cosine or sine of
+    each term comes from numpy in one and from libm in the other.
+    """
+    iv = Interval(-0.3, 0.8)
+    f = SampledFunction(lambda x: x * abs(x) + math.exp(x))
+    for n in (TRANSFORM_CUTOFF, 1000):
+        thetas = rule_thetas(kind, n).tolist()
+        fvals = coefficients._sample_at_nodes(f, iv, thetas)
+        ks = [0, 1, 2, 7, n // 2, n - 1]
+        rows = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
+        monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", n + 1)
+        loop = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
+        monkeypatch.undo()
+        bound = 0.5 * n * np.finfo(float).eps * np.max(np.abs(fvals))
+        assert np.max(np.abs(rows - loop)) <= bound, n
+
+
 def test_non_finite_sample_names_the_node():
     f = SampledFunction(lambda x: math.nan if x > 0.9 else x)
     for n in (8, TRANSFORM_CUTOFF):

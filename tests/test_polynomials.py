@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,32 @@ def test_gamma_normalizers():
         gamma_tilde(5, 5)
     with pytest.raises(ValueError):
         gamma_tilde(-1, 5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eval_cheb(ChebKind.FIRST, True, 0.3), "degree must be an integer, got True"),
+        (lambda: eval_cheb(ChebKind.FIRST, 2.0, 0.3), "degree must be an integer, got 2.0"),
+        (lambda: eval_cheb_trig(ChebKind.SECOND, 2.0, 0.3), "degree must be an integer, got 2.0"),
+        (lambda: gamma(True), "index must be an integer, got True"),
+        (lambda: gamma(1.5), "index must be an integer, got 1.5"),
+        (lambda: gamma_tilde(1.0, 5), "index j must be an integer, got 1.0"),
+        (lambda: gamma_tilde(0, True), "node count n must be an integer, got True"),
+    ],
+    ids=["eval-bool", "eval-float", "trig-float", "gamma-bool", "gamma-float",
+         "gamma-tilde-float-j", "gamma-tilde-bool-n"],
+)
+def test_indices_must_be_integers(call, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        call()
+
+
+def test_numpy_integer_indices_are_accepted():
+    assert eval_cheb(ChebKind.THIRD, np.int64(3), 0.2) == eval_cheb(ChebKind.THIRD, 3, 0.2)
+    assert eval_cheb_trig(ChebKind.FIRST, np.uint8(2), 0.4) == eval_cheb_trig(ChebKind.FIRST, 2, 0.4)
+    assert gamma(np.int32(0)) == 1
+    assert gamma_tilde(np.int64(4), np.int64(5)) == 2
 
 
 def test_domain_errors():

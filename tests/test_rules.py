@@ -133,9 +133,9 @@ def test_fft_weights_match_exact_sums(kind, monkeypatch):
         # rule for the second cutoff and compare it with itself
         thetas = rule_thetas(kind, n)
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", 1)
-        fast = rules._weights(kind, n, thetas)
+        fast = np.array(rules._weights(kind, n, thetas))
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", n + 1)
-        exact = rules._weights(kind, n, thetas)
+        exact = np.array(rules._weights(kind, n, thetas))
         assert np.max(np.abs(fast - exact)) <= 2e-16, n
 
 
@@ -317,7 +317,7 @@ def test_lagrange_basis_eval_matches_the_per_degree_sum():
         family = family_for_rule(kind)
         for n in range(kind.min_nodes, 41):
             thetas = rule_thetas(kind, n)
-            factors = rules._node_factors(kind, thetas).tolist()
+            factors = rules._node_factors(kind, thetas)
             at_nodes = rules._family_matrix(family, thetas, range(n)).T.tolist()
             norms = [closed_form_orthogonality(kind, n, k, k) for k in range(n)]
             for j in range(n):
