@@ -21,14 +21,13 @@ build their rows through one helper from (p, h, exact, value) steps.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .coefficients import SampledFunction, discrete_coeffs
-from .polynomials import ChebKind, Interval, _integers
+from .polynomials import ChebKind, Interval, _index
 from .quadrature import Partition, integrate, integrate_composite
-from .rules import QuadKind, _check_index, family_for_rule
+from .rules import QuadKind, _check_n, family_for_rule
 
 __all__ = [
     "DecayRow",
@@ -78,14 +77,12 @@ class TestFunction:
     exact_integral: Callable[[Interval], float] | None = None
 
     def sampled(self) -> SampledFunction:
-        return SampledFunction(self.evaluator, regularity_m=self.m)
+        return SampledFunction(self.evaluator)
 
 
 def power_abs_exp(m: int) -> TestFunction:
     """f(x) = x^m |x| + e^x, which has exactly m continuous derivatives at 0."""
-    m = operator.index(_integers(m, "m"))
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = _index(m, "m")
 
     def f(x: float) -> float:
         return x**m * abs(x) + math.exp(x)
@@ -174,16 +171,13 @@ class ShrinkSchedule:
         if not self.p_values:
             raise ValueError("schedule must contain at least one p")
         for p in self.p_values:
-            _integers(p, "p value")
+            _index(p, "p value", 1)
         if any(cur <= prev for prev, cur in zip(self.p_values, self.p_values[1:])):
             raise ValueError("p values must be strictly increasing")
-        if self.p_values[0] < 1:
-            raise ValueError("p values must be >= 1")
 
     @classmethod
     def doubling(cls, p_max: int) -> "ShrinkSchedule":
-        if _integers(p_max, "p_max") < 1:
-            raise ValueError("p_max must be >= 1")
+        p_max = _index(p_max, "p_max", 1)
         ps = []
         p = 1
         while p <= p_max:
@@ -193,11 +187,12 @@ class ShrinkSchedule:
 
     @staticmethod
     def interval(p: int) -> Interval:
+        p = _index(p, "p", 1)
         return Interval(-0.5 / p, 1.0 / p)
 
     @staticmethod
     def h(p: int) -> float:
-        return 1.5 / p
+        return 1.5 / _index(p, "p", 1)
 
 
 def rate(value_coarse: float, value_fine: float) -> float:
@@ -229,9 +224,10 @@ def _rated(
 
 def theoretical_decay_rate(k: int, m: int | None) -> float:
     """Predicted ndr of coefficient k for a function of regularity m."""
+    k = _index(k, "k")
     if m is None:
         return float(k)
-    return float(min(k, m + 1))
+    return float(min(k, _index(m, "m") + 1))
 
 
 def theoretical_order(
@@ -243,12 +239,13 @@ def theoretical_order(
     cancellation, so only the rules with symmetric nodes and weights get it;
     the third and fourth kind node sets are asymmetric and do not.
     """
+    n = _check_n(kind, n)
     symmetric = kind in (QuadKind.FEJER_I, QuadKind.CLENSHAW_CURTIS, QuadKind.FEJER_II)
     n0 = 1 if (symmetric and n % 2 == 1) else 0
     base = n + n0 if composite else n + 1 + n0
     if m is None:
         return float(base)
-    return float(min(base, m + 2))
+    return float(min(base, _index(m, "m") + 2))
 
 
 @dataclass(frozen=True)
@@ -333,9 +330,9 @@ def _report(study: str, rows: Iterable[DecayRow] | Iterable[QuadRow]) -> StudyRe
     return StudyReport(study, tuple(sorted(rows, key=sort_key)))
 
 
-def _sorted_ints(values: Iterable[Any], name: str) -> list[int]:
-    """The distinct values in increasing order; TypeError on any non-integer."""
-    return sorted({operator.index(_integers(v, name)) for v in values})
+def _sorted_ints(values: Iterable[Any], name: str, low: float = -math.inf) -> list[int]:
+    """The distinct values in increasing order, each checked by _index against low."""
+    return sorted({_index(v, name, low) for v in values})
 
 
 def coefficient_decay_study(
@@ -351,6 +348,7 @@ def coefficient_decay_study(
     since c~_0 tracks the local function magnitude.  A rate is recorded only
     when the current and previous magnitudes are both above their floors.
     """
+    n = _check_n(kind, n)
     k_list = _sorted_ints(ks, "coefficient index")
     if not k_list:
         raise ValueError("need at least one coefficient index")
@@ -432,9 +430,9 @@ def composite_convergence_study(
     """
     if f.exact_integral is None:
         raise ValueError("composite study needs a test function with an exact integral")
-    ps = _sorted_ints(p_values, "patch count")
-    if not ps or ps[0] < 1:
-        raise ValueError("patch counts must be positive")
+    ps = _sorted_ints(p_values, "patch count", 1)
+    if not ps:
+        raise ValueError("need at least one patch count")
     exact = f.exact_integral(interval)
     sf = f.sampled()
     steps = ((p, interval.h / p, exact,
@@ -478,12 +476,11 @@ def trig_moment(ell: Any, q: Any, k: Any, parity: Any, num_points: int | None = 
 
     from .verify import _powers
 
-    ell, q, k = (_check_index(v, name) for v, name in ((ell, "ell"), (q, "q"), (k, "k")))
-    ell, q, k, parity = np.broadcast_arrays(ell, q, k, _check_index(parity, "parity", 1))
+    ell, q, k = (_index(v, name, arrays=True) for v, name in ((ell, "ell"), (q, "q"), (k, "k")))
+    ell, q, k, parity = np.broadcast_arrays(ell, q, k, _index(parity, "parity", 0, 1, arrays=True))
     if num_points is None:
         num_points = int(np.max(ell + q + k)) + 2
-    if num_points < 2:
-        raise ValueError(f"num_points must be at least 2, got {num_points}")
+    num_points = _index(num_points, "num_points", 2)
     ts = np.linspace(-math.pi, math.pi, num_points)
     kt = k[..., None] * ts
     osc = np.where(parity[..., None] == 0, np.cos(kt), np.sin(kt))

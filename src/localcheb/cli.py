@@ -36,8 +36,8 @@ _RULE_CHOICES = [k.value for k in QuadKind]
 _SUITE_NAMES = ("orthogonality", "exactness", "kind-relations", "trig-moments")
 
 # Largest node count accepted by --n and --n-range, and largest index by
-# --k-range; 16x the largest the benchmark runs (4096), and 8x the largest
-# reference rule any test builds (8192).
+# --k-range and --m-range; 16x the largest the benchmark runs (4096), and 8x
+# the largest reference rule any test builds (8192).
 MAX_NODES = 2**16
 # Largest --patches and --p-max; a composite run costs n evaluations per
 # patch.  16x the largest patch count the benchmark runs (65536).
@@ -61,8 +61,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_range(text: str, what: str, limit: int | None = None) -> list[int]:
-    """Parse 'LO..HI' (inclusive) into a list of ints, with HI at most limit."""
+def _parse_range(text: str, what: str, limit: int) -> list[int]:
+    """Parse 'LO..HI' (inclusive) into a list of ints within 0..limit."""
     parts = text.split("..")
     if len(parts) != 2:
         raise ValueError(f"{what} must look like LO..HI, got {text!r}")
@@ -72,8 +72,8 @@ def _parse_range(text: str, what: str, limit: int | None = None) -> list[int]:
         raise ValueError(f"{what} bounds must be integers, got {text!r}") from exc
     if hi < lo:
         raise ValueError(f"{what} upper bound below lower bound in {text!r}")
-    if limit is not None and hi > limit:
-        raise ValueError(f"{what} upper bound must be at most {limit}, got {hi}")
+    if lo < 0 or hi > limit:
+        raise ValueError(f"{what} bounds must be at most {limit} and at least 0, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -156,7 +156,7 @@ def _cmd_study_quad(args) -> int:
         if (args.m is None) == (args.m_range is None):
             raise ValueError("give exactly one of --m or --m-range")
         ms: list[int | None] = (
-            [args.m] if args.m is not None else _parse_range(args.m_range, "--m-range")
+            [args.m] if args.m is not None else _parse_range(args.m_range, "--m-range", MAX_NODES)
         )
     else:
         ms = [args.m]

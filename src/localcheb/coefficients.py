@@ -22,14 +22,13 @@ table and its sums are numpy arrays.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .polynomials import (
     ChebKind,
     Interval,
-    _integers,
+    _index,
     _recurrence,
     affine_map,
     clamp_reference,
@@ -43,6 +42,7 @@ from .rules import (
     _angles,
     _check_n,
     _node_factors,
+    _norm,
     _period,
     family_for_rule,
 )
@@ -71,14 +71,9 @@ _RULE_FOR_FAMILY = {
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A scalar function of one real variable, with an optional regularity tag.
-
-    regularity_m = m means the function has m continuous derivatives at its
-    worst point; None means smooth.  Evaluator failures propagate unchanged.
-    """
+    """A scalar function of one real variable.  Evaluator failures propagate unchanged."""
 
     evaluator: Callable[[float], float]
-    regularity_m: int | None = None
 
 
 @dataclass(frozen=True)
@@ -155,23 +150,23 @@ def _analysis(
 
 
 def _normalise(kind: QuadKind, n: int, ks: Sequence[int], sums: Sequence[float]) -> list[float]:
-    """The coefficients from their node sums: divide out the discrete norms.
+    """The coefficients from their node sums: divide out the discrete norms N_k.
 
-    Each scale is formed once, as the same expression in n that a single
-    coefficient would use, so hoisting it out of the loop changes no bit.
+    N_k is the rule's norm (rules._norm), doubled at each degree k < n whose
+    index sum 2k + 2s is a multiple of the period P.  Both scales and the
+    doubled degrees are formed once per call.  The rules with a whole shift
+    s (f1, cc, f2) multiply by 1 / N_k and the half-shift rules (f3, f4)
+    divide by N_k; the two differ in the last bit, and the goldens hold these.
     """
-    if kind is QuadKind.FEJER_I:
-        first, rest = 1.0 / n, 2.0 / n
-        return [(first if k == 0 else rest) * v for k, v in zip(ks, sums)]
-    if kind is QuadKind.CLENSHAW_CURTIS:
-        # 2 / ((n - 1) gamma_tilde_k), where gamma_tilde_k is 2 at both ends and 1 inside
-        end, inside = 2.0 / ((n - 1.0) * 2.0), 2.0 / (n - 1.0)
-        return [(end if k == 0 or k == n - 1 else inside) * v for k, v in zip(ks, sums)]
-    if kind is QuadKind.FEJER_II:
-        scale = 2.0 / (n + 1.0)
-        return [scale * v for v in sums]
-    den = n + 0.5
-    return [v / den for v in sums]
+    norm, period = _norm(kind, n), _period(kind, n)
+    two_s = int(2 * _ANGLE_FORM[_FAMILY[kind]][0])
+    # each multiple h of P that is the index sum 2k + 2s of some k < n
+    doubled = {(h - two_s) // 2 for h in range(0, 2 * n + two_s, period)
+               if h >= two_s and (h - two_s) % 2 == 0}
+    if two_s % 2:
+        return [v / (2 * norm if k in doubled else norm) for k, v in zip(ks, sums)]
+    once, twice = 1 / norm, 1 / (2 * norm)
+    return [(twice if k in doubled else once) * v for k, v in zip(ks, sums)]
 
 
 def _coeff_values(
@@ -269,14 +264,12 @@ def continuous_coeffs(
     max(4096, 64 * (k_max + 1)) so the aliasing error stays negligible
     relative to the coefficients being asked for.
     """
-    k_max = operator.index(_integers(k_max, "k_max"))
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    k_max = _index(k_max, "k_max")
+    kind = _RULE_FOR_FAMILY[family]
+    n_ref = _check_n(kind, n_ref)
     needed = max(4096, 64 * (k_max + 1))
     if n_ref < needed:
         raise ValueError(f"n_ref={n_ref} is too coarse for k_max={k_max}; need >= {needed}")
-    kind = _RULE_FOR_FAMILY[family]
-    n_ref = _check_n(kind, n_ref)
     thetas = _angles(kind, n_ref)
     fvals = _sample_at_nodes(f, interval, thetas)
     values = _coeff_values(kind, thetas, fvals, n_ref, range(k_max + 1))
@@ -311,6 +304,7 @@ def kind_relations_check(
     f: SampledFunction, interval: Interval, k_max: int, n_ref: int
 ) -> KindRelationsReport:
     """Measure how well the cross-family coefficient identities hold for f."""
+    k_max = _index(k_max, "k_max")
     c1 = continuous_coeffs(ChebKind.FIRST, f, interval, k_max + 2, n_ref).values
     c2 = continuous_coeffs(ChebKind.SECOND, f, interval, k_max, n_ref).values
     c3 = continuous_coeffs(ChebKind.THIRD, f, interval, k_max, n_ref).values

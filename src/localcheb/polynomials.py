@@ -43,19 +43,36 @@ def _is_array(value: Any) -> bool:
     return np is not None and isinstance(value, np.ndarray)
 
 
-def _integers(value: Any, name: str) -> Any:
-    """value itself if it is an integer or an integer array; TypeError otherwise.
+def _index(
+    value: Any, name: str, low: float = 0, high: int | None = None, *, arrays: bool = False
+) -> Any:
+    """value as an int within low..high, where high None is unbounded.
 
-    bool, float and float arrays are refused even where they hold whole
-    numbers, so a size or an index is never truncated or taken as a flag.
+    bool, float and float arrays raise TypeError even where they hold whole
+    numbers, so a size or an index is never truncated or taken as a flag;
+    values out of range raise ValueError.  With arrays, an integer array is
+    taken too and returned as int64; unsigned arrays are held to the int64
+    maximum, so index arithmetic below 0 cannot wrap around.  Without it,
+    only a 0-d array passes, as an int.
     """
-    if _is_array(value):
-        ok = value.dtype.kind in "iu"
-    else:
-        ok = not isinstance(value, bool) and hasattr(type(value), "__index__")
-    if not ok:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
+    array = False
+    if type(value) is not int:  # a plain int, the common case, skips the search for numpy
+        array = arrays and _is_array(value)
+        if array:
+            ok = value.dtype.kind in "iu"
+        else:
+            ok = not isinstance(value, bool) and hasattr(type(value), "__index__")
+        if not ok:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not array:
+            value = operator.index(value)
+        elif value.dtype.kind == "u" and high is None:
+            high = 2**63 - 1  # the int64 maximum
+    inside = value >= low if high is None else (value >= low) & (value <= high)
+    if not (inside.all() if array else inside):
+        bound = f"be at least {low}" if high is None else f"lie in {low}..{high}"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value.astype("int64", copy=False) if array else value
 
 
 class ChebKind(Enum):
@@ -136,18 +153,13 @@ def affine_inverse(interval: Interval, x: float) -> float:
 
 def gamma(n: int) -> int:
     """Interior normalizer: 1 for index 0, else 2."""
-    n = operator.index(_integers(n, "index"))
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return 1 if n == 0 else 2
+    return 1 if _index(n, "index") == 0 else 2
 
 
 def gamma_tilde(j: int, n: int) -> int:
     """Endpoint normalizer for an n-point closed node set: 2 at j in {0, n-1}, else 1."""
-    j = operator.index(_integers(j, "index j"))
-    n = operator.index(_integers(n, "node count n"))
-    if n < 1 or not 0 <= j <= n - 1:
-        raise ValueError(f"index {j} outside 0..{n - 1}")
+    n = _index(n, "node count n", 1)
+    j = _index(j, "index j", 0, n - 1)
     return 2 if j in (0, n - 1) else 1
 
 
@@ -157,10 +169,7 @@ def eval_cheb(kind: ChebKind, degree: int, t: float) -> float:
     Runs the shared three-term recurrence upward from the family seed;
     cost is O(degree).
     """
-    degree = operator.index(_integers(degree, "degree"))
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return _recurrence(kind, clamp_reference(t), degree + 1)[-1]
+    return _recurrence(kind, clamp_reference(t), _index(degree, "degree") + 1)[-1]
 
 
 def _recurrence(kind: ChebKind, t: float, count: int) -> list[float]:
@@ -182,13 +191,10 @@ def eval_cheb_trig(kind: ChebKind, degree: int, theta: float) -> float:
     U_n(1) = n + 1, U_n(-1) = (-1)^n (n + 1), V_n(-1) = (-1)^n (2n + 1),
     W_n(1) = 2n + 1.
     """
-    degree = operator.index(_integers(degree, "degree"))
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _index(degree, "degree")
     if not -REFERENCE_BAND <= theta <= math.pi + REFERENCE_BAND:
         raise ValueError(f"angle {theta!r} lies outside [0, pi]")
     theta = min(math.pi, max(0.0, theta))
-    n = degree
     if kind is ChebKind.FIRST:
         return math.cos(n * theta)
     if kind is ChebKind.SECOND:

@@ -11,12 +11,11 @@ one-patch case of that path, so the two entry points agree to the bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .coefficients import CoefficientSet, SampledFunction, discrete_coeffs
-from .polynomials import Interval, _integers, affine_inverse, affine_map
+from .polynomials import Interval, _index, affine_inverse, affine_map
 from .rules import QuadKind, QuadratureRule, make_rule
 
 __all__ = [
@@ -47,9 +46,7 @@ class Partition:
 
     @classmethod
     def equispaced(cls, interval: Interval, pieces: int) -> "Partition":
-        pieces = operator.index(_integers(pieces, "pieces"))
-        if pieces < 1:
-            raise ValueError("pieces must be >= 1")
+        pieces = _index(pieces, "pieces", 1)
         a, b = interval.a, interval.b
         bp = [a + (b - a) * (i / pieces) for i in range(pieces + 1)]
         # snap the ends so the invariant holds exactly in floating point

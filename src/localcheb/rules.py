@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .polynomials import ChebKind, _integers, _is_array, _recurrence, clamp_reference
+from .polynomials import ChebKind, _index, _is_array, _recurrence, clamp_reference
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,31 +106,11 @@ TRANSFORM_CUTOFF = 64
 
 def _check_n(kind: QuadKind, n: Any) -> int:
     """n as an int of at least kind.min_nodes; TypeError or ValueError otherwise."""
-    n = operator.index(_integers(n, "node count n"))
+    # any integer passes _index: the rule's own minimum below words the error
+    n = _index(n, "node count n", -math.inf)
     if n < kind.min_nodes:
         raise ValueError(f"rule {kind.value} needs n >= {kind.min_nodes}, got {n}")
     return n
-
-
-def _check_index(value: Any, name: str, top: int | None = None) -> Any:
-    """An integer or integer array within 0..top, as an int or an int64 array.
-
-    top None means no upper bound.  Non-integers raise TypeError, values
-    out of range ValueError; unsigned arrays are held to the int64 maximum.
-    The conversion keeps index arithmetic below 0 from wrapping around, as it
-    would in unsigned numpy integers.
-    """
-    value = _integers(value, name)
-    array = _is_array(value)
-    if not array:
-        value = operator.index(value)
-    elif value.dtype.kind == "u":
-        top = 2**63 - 1 if top is None else top  # the int64 maximum
-    inside = value >= 0 if top is None else (value >= 0) & (value <= top)
-    if not (inside.all() if array else inside):
-        bound = "be nonnegative" if top is None else f"lie in 0..{top}"
-        raise ValueError(f"{name} must {bound}, got {value}")
-    return value.astype("int64", copy=False) if array else value
 
 
 # Each rule's node angles theta_j = (step * j + offset) * pi / den, where
@@ -346,8 +325,8 @@ def discrete_orthogonality_sum(kind: QuadKind, n: int, i: int, k: int) -> float:
     round-trip.
     """
     n = _check_n(kind, n)
-    i = operator.index(_check_index(i, "index i"))
-    k = operator.index(_check_index(k, "index k"))
+    i = _index(i, "index i")
+    k = _index(k, "index k")
     thetas = _angles(kind, n)
     p_i, p_k = _family_matrix(_FAMILY[kind], thetas, [i, k])
     return math.fsum((p_i * _node_factors(kind, thetas) * p_k).tolist())
@@ -375,8 +354,8 @@ def closed_form_orthogonality(kind: QuadKind, n: int, i: Any, k: Any) -> Any:
     n/2, n+1/2 and the like, so they are exact either way.
     """
     n = _check_n(kind, n)
-    i = _check_index(i, "index i")
-    k = _check_index(k, "index k", n - 1)
+    i = _index(i, "index i", arrays=True)
+    k = _index(k, "index k", 0, n - 1, arrays=True)
     p = _period(kind, n)
     step, offset, _, _ = _GRID[kind]
     s, trig = _ANGLE_FORM[_FAMILY[kind]]
@@ -398,7 +377,7 @@ def lagrange_basis_eval(kind: QuadKind, n: int, j: int, t: float) -> float:
     import numpy as np
 
     n = _check_n(kind, n)
-    j = operator.index(_check_index(j, "node index j", n - 1))
+    j = _index(j, "node index j", 0, n - 1)
     thetas = _angles(kind, n)
     family = _FAMILY[kind]
     factor = _node_factors(kind, thetas)[j]

@@ -180,8 +180,13 @@ def test_runtime_errors_exit_one_with_one_line(args, tmp_path, capsys):
         ["study-decay", "--rule", "f1", "--n", "8", "--m", "4", "--p-max", str(cli.MAX_PATCHES + 1)],
         ["study-quad", "--rule", "f1", "--n-range", f"2..{cli.MAX_NODES + 1}", "--m", "0"],
         ["study-decay", "--rule", "f1", "--n", "8", "--m", "4", "--k-range", f"1..{cli.MAX_NODES + 1}"],
+        # a huge negative lower bound or an unbounded --m-range once built a list that ran out of memory
+        ["study-quad", "--rule", "f1", "--n-range=-1000000000000000..2", "--m", "0"],
+        ["study-decay", "--rule", "f1", "--n", "8", "--m", "1", "--k-range=-1000000000000000..2"],
+        ["study-quad", "--rule", "f1", "--n", "2", "--m-range", "0..1000000000000000"],
     ],
-    ids=["n", "patches", "p-max", "n-range", "k-range"],
+    ids=["n", "patches", "p-max", "n-range", "k-range", "negative-n-range", "negative-k-range",
+         "m-range"],
 )
 def test_size_limits_exit_one_with_one_line(args, capsys):
     rc = main(args)
