@@ -451,6 +451,21 @@ def merge_reports(*reports: StudyReport) -> StudyReport:
     return _report(study, [row for rep in reports for row in rep.rows])
 
 
+def _powers(base: Any, exps: Any) -> Any:
+    """base ** e for every e in exps, stacked in exps' shape ahead of base's axis.
+
+    Each distinct power is taken with e as a Python number, as a scalar call
+    would take it: an exponent array would skip numpy's fast path for e = 2
+    (a square, which can differ from pow(x, 2.0) in the last bit).
+    trig_moment and the verify suites form their powers here.
+    """
+    import numpy as np
+
+    flat = exps.ravel().tolist()
+    table = {e: base**e for e in set(flat)}
+    return np.stack([table[e] for e in flat]).reshape(exps.shape + base.shape)
+
+
 def trig_moment(ell: Any, q: Any, k: Any, parity: Any, num_points: int | None = None) -> Any:
     """Trapezoid estimate of the moment sin^ell(t) cos^q(t) x {cos,sin}(k t) on [-pi, pi].
 
@@ -473,8 +488,6 @@ def trig_moment(ell: Any, q: Any, k: Any, parity: Any, num_points: int | None = 
     taken with numpy, which the first call imports.
     """
     import numpy as np
-
-    from .verify import _powers
 
     ell, q, k = (_index(v, name, arrays=True) for v, name in ((ell, "ell"), (q, "q"), (k, "k")))
     ell, q, k, parity = np.broadcast_arrays(ell, q, k, _index(parity, "parity", 0, 1, arrays=True))

@@ -23,13 +23,12 @@ from .analysis import (
     quadrature_convergence_study,
     function_by_id,
 )
+from .coefficients import discrete_coeffs
 from .polynomials import Interval
 from .quadrature import Partition, integrate_composite
 from .rules import QuadKind, make_rule
 
 __all__ = ["MAX_NODES", "MAX_PATCHES", "main"]
-
-_RULE_CHOICES = [k.value for k in QuadKind]
 
 # The names of verify.SUITES, in report order.  verify imports numpy, so the
 # parser lists the names itself and only the verify command imports it.
@@ -90,36 +89,28 @@ def _json_dumps(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its artifact, CSV text or a dict for
+# JSON, and main writes it; verify prints its report and returns the exit code
 
 
-def _cmd_nodes(args) -> int:
+def _cmd_nodes(args) -> str | dict:
     rule = make_rule(QuadKind(args.rule), args.n)
     if args.json:
-        _emit(_json_dumps(rule.to_json_dict()), args.out)
-    else:
-        lines = ["j,theta,node,weight"]
-        columns = zip(rule.theta_values, rule.node_values, rule.weight_values)
-        for j, (theta, node, weight) in enumerate(columns):
-            lines.append(f"{j},{theta:.17g},{node:.17g},{weight:.17g}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return rule.to_json_dict()
+    lines = ["j,theta,node,weight"]
+    columns = zip(rule.theta_values, rule.node_values, rule.weight_values)
+    for j, (theta, node, weight) in enumerate(columns):
+        lines.append(f"{j},{theta:.17g},{node:.17g},{weight:.17g}")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_coeffs(args) -> int:
-    from .coefficients import discrete_coeffs
-
+def _cmd_coeffs(args) -> str | dict:
     fn = function_by_id(args.fn, args.m)
-    iv = Interval(args.a, args.b)
-    cs = discrete_coeffs(QuadKind(args.rule), fn.sampled(), iv, args.n)
-    if args.json:
-        _emit(_json_dumps(cs.to_json_dict()), args.out)
-    else:
-        _emit(cs.to_csv(), args.out)
-    return 0
+    cs = discrete_coeffs(QuadKind(args.rule), fn.sampled(), Interval(args.a, args.b), args.n)
+    return cs.to_json_dict() if args.json else cs.to_csv()
 
 
-def _cmd_quad(args) -> int:
+def _cmd_quad(args) -> dict:
     fn = function_by_id(args.fn, args.m)
     iv = Interval(args.a, args.b)
     kind = QuadKind(args.rule)
@@ -127,7 +118,7 @@ def _cmd_quad(args) -> int:
     abs_error = None
     if fn.exact_integral is not None:
         abs_error = abs(fn.exact_integral(iv) - res.value)
-    payload = {
+    return {
         "rule": kind.value,
         "n": args.n,
         "patches": args.patches,
@@ -135,20 +126,16 @@ def _cmd_quad(args) -> int:
         "abs_error": abs_error,
         "evaluations": res.evaluations,
     }
-    _emit(_json_dumps(payload), args.out)
-    return 0
 
 
-def _cmd_study_decay(args) -> int:
+def _cmd_study_decay(args) -> str:
     fn = function_by_id(args.fn, args.m)
     ks = _parse_range(args.k_range, "--k-range", MAX_NODES) if args.k_range else range(1, args.n)
     schedule = ShrinkSchedule.doubling(args.p_max)
-    report = coefficient_decay_study(QuadKind(args.rule), fn, args.n, ks, schedule)
-    _emit(report.to_csv(), args.out)
-    return 0
+    return coefficient_decay_study(QuadKind(args.rule), fn, args.n, ks, schedule).to_csv()
 
 
-def _cmd_study_quad(args) -> int:
+def _cmd_study_quad(args) -> str:
     if (args.n is None) == (args.n_range is None):
         raise ValueError("give exactly one of --n or --n-range")
     ns = [args.n] if args.n is not None else _parse_range(args.n_range, "--n-range", MAX_NODES)
@@ -166,17 +153,14 @@ def _cmd_study_quad(args) -> int:
         quadrature_convergence_study(kind, function_by_id(args.fn, m), ns, schedule)
         for m in ms
     ]
-    _emit(merge_reports(*reports).to_csv(), args.out)
-    return 0
+    return merge_reports(*reports).to_csv()
 
 
-def _cmd_study_composite(args) -> int:
+def _cmd_study_composite(args) -> str:
     fn = function_by_id(args.fn, args.m)
     iv = Interval(args.a, args.b)
     ps = ShrinkSchedule.doubling(args.p_max).p_values
-    report = composite_convergence_study(QuadKind(args.rule), fn, args.n, iv, ps)
-    _emit(report.to_csv(), args.out)
-    return 0
+    return composite_convergence_study(QuadKind(args.rule), fn, args.n, iv, ps).to_csv()
 
 
 def _cmd_verify(args) -> int:
@@ -193,13 +177,46 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly: each option is one (flag, add_argument keywords) pair
 
 
-def _add_fn_args(sp, fn_required: bool, fn_default: str | None = None) -> None:
-    sp.add_argument("--fn", required=fn_required, default=fn_default,
-                    help="test function id: xm_abs_exp (with --m), exp, poly:<c0,c1,...>")
-    sp.add_argument("--m", type=int, default=None, help="regularity parameter for xm_abs_exp")
+def _variant(option: tuple[str, dict], **changes) -> tuple[str, dict]:
+    """option with some of its add_argument keywords changed."""
+    flag, kwargs = option
+    return flag, {**kwargs, **changes}
+
+
+_RULE = ("--rule", {"required": True, "choices": [k.value for k in QuadKind]})
+_N = ("--n", {"type": int, "required": True})
+_FN = ("--fn", {"required": True,
+                "help": "test function id: xm_abs_exp (with --m), exp, poly:<c0,c1,...>"})
+_FN_XM = _variant(_FN, required=False, default="xm_abs_exp")
+_M = ("--m", {"type": int, "help": "regularity parameter for xm_abs_exp"})
+_A = ("--a", {"type": float, "required": True})
+_B = ("--b", {"type": float, "required": True})
+_P_MAX = ("--p-max", {"type": int, "default": 1024})
+_JSON = ("--json", {"action": "store_true"})
+_OUT = ("--out", {})
+
+# (name, help, handler, options) of each subcommand, in help order
+_COMMANDS = (
+    ("nodes", "print one rule's angles, nodes, and weights", _cmd_nodes, (_RULE, _N, _JSON, _OUT)),
+    ("coeffs", "discrete coefficients of a function on [a,b]", _cmd_coeffs,
+     (_RULE, _N, _FN, _M, _A, _B, _JSON, _OUT)),
+    ("quad", "integrate a function over [a,b]", _cmd_quad,
+     (_RULE, _N, ("--patches", {"type": int, "default": 1}), _FN, _M, _A, _B, _OUT)),
+    ("study-decay", "coefficient decay over the shrink schedule", _cmd_study_decay,
+     (_RULE, _N, _FN_XM, _M,
+      ("--k-range", {"help": "coefficient indices LO..HI (default 1..n-1)"}),
+      _P_MAX, _OUT)),
+    ("study-quad", "quadrature error over the shrink schedule", _cmd_study_quad,
+     (_RULE, _variant(_N, required=False), ("--n-range", {"help": "node counts LO..HI"}),
+      _FN_XM, _M, ("--m-range", {"help": "regularities LO..HI"}), _P_MAX, _OUT)),
+    ("study-composite", "composite-rule error on a fixed interval", _cmd_study_composite,
+     (_RULE, _N, _FN, _M, _A, _B, _variant(_P_MAX, default=256), _OUT)),
+    ("verify", "run the property suites and report pass/fail", _cmd_verify,
+     (("--suite", {"choices": sorted(_SUITE_NAMES)}),)),
+)
 
 
 @functools.cache
@@ -210,67 +227,11 @@ def _build_parser() -> _Parser:
     """
     p = _Parser(prog="localcheb", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="command", required=True)
-
-    sp = sub.add_parser("nodes", help="print one rule's angles, nodes, and weights")
-    sp.add_argument("--rule", required=True, choices=_RULE_CHOICES)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_nodes)
-
-    sp = sub.add_parser("coeffs", help="discrete coefficients of a function on [a,b]")
-    sp.add_argument("--rule", required=True, choices=_RULE_CHOICES)
-    sp.add_argument("--n", type=int, required=True)
-    _add_fn_args(sp, fn_required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_coeffs)
-
-    sp = sub.add_parser("quad", help="integrate a function over [a,b]")
-    sp.add_argument("--rule", required=True, choices=_RULE_CHOICES)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--patches", type=int, default=1)
-    _add_fn_args(sp, fn_required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_quad)
-
-    sp = sub.add_parser("study-decay", help="coefficient decay over the shrink schedule")
-    sp.add_argument("--rule", required=True, choices=_RULE_CHOICES)
-    sp.add_argument("--n", type=int, required=True)
-    _add_fn_args(sp, fn_required=False, fn_default="xm_abs_exp")
-    sp.add_argument("--k-range", default=None, help="coefficient indices LO..HI (default 1..n-1)")
-    sp.add_argument("--p-max", type=int, default=1024)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_study_decay)
-
-    sp = sub.add_parser("study-quad", help="quadrature error over the shrink schedule")
-    sp.add_argument("--rule", required=True, choices=_RULE_CHOICES)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--n-range", default=None, help="node counts LO..HI")
-    _add_fn_args(sp, fn_required=False, fn_default="xm_abs_exp")
-    sp.add_argument("--m-range", default=None, help="regularities LO..HI")
-    sp.add_argument("--p-max", type=int, default=1024)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_study_quad)
-
-    sp = sub.add_parser("study-composite", help="composite-rule error on a fixed interval")
-    sp.add_argument("--rule", required=True, choices=_RULE_CHOICES)
-    sp.add_argument("--n", type=int, required=True)
-    _add_fn_args(sp, fn_required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--p-max", type=int, default=256)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_study_composite)
-
-    sp = sub.add_parser("verify", help="run the property suites and report pass/fail")
-    sp.add_argument("--suite", choices=sorted(_SUITE_NAMES), default=None)
-    sp.set_defaults(handler=_cmd_verify)
-
+    for name, help_text, handler, options in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(handler=handler)
     return p
 
 
@@ -288,7 +249,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_limits(args)
-        return args.handler(args)
+        artifact = args.handler(args)
+        if isinstance(artifact, int):
+            return artifact
+        _emit(_json_dumps(artifact) if isinstance(artifact, dict) else artifact, args.out)
+        return 0
     except OverflowError as exc:
         print(f"localcheb: error: numeric overflow ({exc})", file=sys.stderr)
     except (ValueError, OSError) as exc:

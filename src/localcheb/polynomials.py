@@ -53,13 +53,13 @@ def _index(
     values out of range raise ValueError.  With arrays, an integer array is
     taken too and returned as int64; unsigned arrays are held to the int64
     maximum, so index arithmetic below 0 cannot wrap around.  Without it,
-    only a 0-d array passes, as an int.
+    only a 0-d integer array passes, as an int.
     """
     array = False
     if type(value) is not int:  # a plain int, the common case, skips the search for numpy
-        array = arrays and _is_array(value)
-        if array:
-            ok = value.dtype.kind in "iu"
+        if _is_array(value):
+            ok = value.dtype.kind in "iu" and (arrays or value.ndim == 0)
+            array = arrays
         else:
             ok = not isinstance(value, bool) and hasattr(type(value), "__index__")
         if not ok:

@@ -134,8 +134,10 @@ def _angles(kind: QuadKind, n: int) -> list[float]:
 def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
     """Node angles theta_j in increasing order as a float64 array; the nodes are cos(theta_j).
 
-    Exposed separately from make_rule because sampling-only uses (coefficient
-    computation) need the angles but not the weight construction.
+    Exposed separately from make_rule for callers that need the angles as an
+    array but not the weights: in the package only the verify suites call it,
+    and the benchmark's per-layer trace counts those calls.  Rule and
+    coefficient construction read the Python-float angles of _angles instead.
     """
     import numpy as np
 

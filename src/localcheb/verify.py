@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import function_by_id, trig_moment
+from .analysis import _powers, function_by_id, trig_moment
 from .coefficients import kind_relations_check
 from .polynomials import Interval
 from .rules import (
@@ -27,19 +27,6 @@ from .rules import (
 )
 
 __all__ = ["SUITES"]
-
-
-def _powers(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """base ** e for every e in exps, stacked in exps' shape ahead of base's axis.
-
-    Each distinct power is taken with e as a Python number, as a scalar call
-    would take it: an exponent array would skip numpy's fast path for e = 2
-    (a square, which can differ from pow(x, 2.0) in the last bit).
-    analysis.trig_moment forms its powers here too.
-    """
-    flat = exps.ravel().tolist()
-    table = {e: base**e for e in set(flat)}
-    return np.stack([table[e] for e in flat]).reshape(exps.shape + base.shape)
 
 
 def _orthogonality() -> tuple[bool, str]:

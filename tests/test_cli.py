@@ -1,5 +1,6 @@
 """Command-line layer: artifact formats, determinism, exit codes, goldens."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -242,6 +243,66 @@ def test_verify_output_matches_golden(capsys):
 def test_suite_names_match_verify():
     # the parser lists the suites itself, so that only the verify command imports verify
     assert cli._SUITE_NAMES == tuple(verify.SUITES)
+
+
+# Every option of every subcommand, in declaration order, as
+# (flag, dest, required, default, type, choices, help).  The help output of
+# argparse varies across Python versions, so no golden file pins these.
+_RULE_ROW = ("--rule", "rule", True, None, None, ["f1", "cc", "f2", "f3", "f4"], None)
+_N_ROW = ("--n", "n", True, None, int, None, None)
+_FN_HELP = "test function id: xm_abs_exp (with --m), exp, poly:<c0,c1,...>"
+_M_ROW = ("--m", "m", False, None, int, None, "regularity parameter for xm_abs_exp")
+_AB_ROWS = [("--a", "a", True, None, float, None, None), ("--b", "b", True, None, float, None, None)]
+_JSON_ROW = ("--json", "json", False, False, None, None, None)
+_OUT_ROW = ("--out", "out", False, None, None, None, None)
+PARSER_TABLE = {
+    "nodes": ("print one rule's angles, nodes, and weights", [_RULE_ROW, _N_ROW, _JSON_ROW, _OUT_ROW]),
+    "coeffs": ("discrete coefficients of a function on [a,b]", [
+        _RULE_ROW, _N_ROW, ("--fn", "fn", True, None, None, None, _FN_HELP), _M_ROW, *_AB_ROWS,
+        _JSON_ROW, _OUT_ROW,
+    ]),
+    "quad": ("integrate a function over [a,b]", [
+        _RULE_ROW, _N_ROW, ("--patches", "patches", False, 1, int, None, None),
+        ("--fn", "fn", True, None, None, None, _FN_HELP), _M_ROW, *_AB_ROWS, _OUT_ROW,
+    ]),
+    "study-decay": ("coefficient decay over the shrink schedule", [
+        _RULE_ROW, _N_ROW, ("--fn", "fn", False, "xm_abs_exp", None, None, _FN_HELP), _M_ROW,
+        ("--k-range", "k_range", False, None, None, None, "coefficient indices LO..HI (default 1..n-1)"),
+        ("--p-max", "p_max", False, 1024, int, None, None), _OUT_ROW,
+    ]),
+    "study-quad": ("quadrature error over the shrink schedule", [
+        _RULE_ROW, ("--n", "n", False, None, int, None, None),
+        ("--n-range", "n_range", False, None, None, None, "node counts LO..HI"),
+        ("--fn", "fn", False, "xm_abs_exp", None, None, _FN_HELP), _M_ROW,
+        ("--m-range", "m_range", False, None, None, None, "regularities LO..HI"),
+        ("--p-max", "p_max", False, 1024, int, None, None), _OUT_ROW,
+    ]),
+    "study-composite": ("composite-rule error on a fixed interval", [
+        _RULE_ROW, _N_ROW, ("--fn", "fn", True, None, None, None, _FN_HELP), _M_ROW, *_AB_ROWS,
+        ("--p-max", "p_max", False, 256, int, None, None), _OUT_ROW,
+    ]),
+    "verify": ("run the property suites and report pass/fail", [
+        ("--suite", "suite", False, None, None,
+         ["exactness", "kind-relations", "orthogonality", "trig-moments"], None),
+    ]),
+}
+
+
+def test_parser_options_match_the_table():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [(c.dest, c.help) for c in sub._choices_actions] == [
+        (name, help_text) for name, (help_text, _) in PARSER_TABLE.items()
+    ]
+    for name, (_, rows) in PARSER_TABLE.items():
+        actions = [a for a in sub.choices[name]._actions if a.dest != "help"]
+        got = [
+            (*a.option_strings, a.dest, a.required, a.default, a.type, a.choices, a.help)
+            for a in actions
+        ]
+        assert got == rows, name
+        # --json is the only flag; every other option takes one value
+        assert [a.nargs for a in actions] == [0 if a.dest == "json" else None for a in actions], name
 
 
 # Runs in a fresh interpreter: every command at the paper's sizes, below the

@@ -155,5 +155,12 @@ def test_counts_degrees_and_indices_share_one_contract(name):
     with pytest.raises(ValueError):
         call(-1)
     if name not in ARRAY_ARGUMENTS:
-        with pytest.raises(TypeError):
-            call(np.array([2]))
+        # an integer array with ndim > 0 is refused where one integer is taken
+        for value in (np.array([1]), np.array([8, 9])):
+            with pytest.raises(TypeError, match="must be an integer"):
+                call(value)
+
+
+def test_zero_d_integer_array_passes_as_an_int():
+    assert make_rule(_F1, np.array(8)).n == 8
+    assert gamma(np.array(0)) == 1

@@ -316,7 +316,8 @@ def test_lagrange_basis_matches_node_product():
 
 def test_lagrange_basis_eval_matches_the_per_degree_sum():
     # the same sum with each P_k(t) from its own eval_cheb call, as an O(n^2)
-    # reference; one upward recurrence must reproduce it bit for bit
+    # reference; one upward recurrence must reproduce it bit for bit.  P_k(t)
+    # does not depend on the node j, so each t's values serve every j.
     for kind in ALL_KINDS:
         family = family_for_rule(kind)
         for n in range(kind.min_nodes, 41):
@@ -324,12 +325,10 @@ def test_lagrange_basis_eval_matches_the_per_degree_sum():
             factors = rules._node_factors(kind, thetas)
             at_nodes = rules._family_matrix(family, thetas, range(n)).T.tolist()
             norms = [closed_form_orthogonality(kind, n, k, k) for k in range(n)]
-            for j in range(n):
-                for t in (-1.0, -0.83, 0.0, 0.41, 1.0, 1.0 + 5e-13):
-                    terms = [
-                        factors[j] * at_nodes[j][k] * eval_cheb(family, k, t) / norms[k]
-                        for k in range(n)
-                    ]
+            for t in (-1.0, -0.83, 0.0, 0.41, 1.0, 1.0 + 5e-13):
+                at_t = [eval_cheb(family, k, t) for k in range(n)]
+                for j in range(n):
+                    terms = [factors[j] * at_nodes[j][k] * at_t[k] / norms[k] for k in range(n)]
                     assert lagrange_basis_eval(kind, n, j, t) == math.fsum(terms), (kind, n, j, t)
 
 
