@@ -26,8 +26,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .coefficients import SampledFunction, discrete_coeffs
 from .polynomials import ChebKind, Interval, _index
-from .quadrature import Partition, integrate, integrate_composite
-from .rules import QuadKind, _check_n, family_for_rule
+from .quadrature import Partition, _finite_value, _patch_sums, integrate_composite
+from .rules import QuadKind, _check_n, family_for_rule, make_rule
 
 __all__ = [
     "DecayRow",
@@ -140,21 +140,27 @@ def function_by_id(fn_id: str, m: int | None = None) -> TestFunction:
     """Resolve a study function from its command-line id.
 
     Supported: ``xm_abs_exp`` (requires m), ``exp``, ``poly:<c0,c1,...>``.
+    The smooth functions have no regularity parameter, so an m given with
+    them raises ValueError rather than being dropped.
     """
     if fn_id == "xm_abs_exp":
         if m is None:
             raise ValueError("xm_abs_exp requires the regularity parameter m")
         return power_abs_exp(m)
     if fn_id == "exp":
-        return exp_fn()
-    if fn_id.startswith("poly:"):
+        fn = exp_fn()
+    elif fn_id.startswith("poly:"):
         body = fn_id[len("poly:") :]
         try:
             coeffs = [float(tok) for tok in body.split(",") if tok.strip() != ""]
         except ValueError as exc:
             raise ValueError(f"bad polynomial coefficient list {body!r}") from exc
-        return poly_fn(coeffs)
-    raise ValueError(f"unknown test function id {fn_id!r}")
+        fn = poly_fn(coeffs)
+    else:
+        raise ValueError(f"unknown test function id {fn_id!r}")
+    if m is not None:
+        raise ValueError(f"test function {fn_id!r} takes no regularity parameter m, got {m!r}")
+    return fn
 
 
 @dataclass(frozen=True)
@@ -401,6 +407,12 @@ def quadrature_convergence_study(
 
     Requires f.exact_integral; the error floor is FLOOR_SCALE * (1 + |exact|)
     per step.  ns is one node count (any integer) or an iterable of them.
+
+    The schedule's intervals, widths and exact integrals are built once per
+    call.  Each node count builds its rule once and takes the weighted sums
+    on every interval of the schedule in one pass of integrate's patch-sum
+    path; each sum goes through integrate's own reduction, so every value,
+    and the error a non-finite one raises, is integrate's bit for bit.
     """
     exact = f.exact_integral
     if exact is None:
@@ -408,12 +420,16 @@ def quadrature_convergence_study(
     n_list = _sorted_ints(ns if isinstance(ns, Iterable) else [ns], "node count n")
     if not n_list:
         raise ValueError("need at least one node count")
-    sf = f.sampled()
-    shrink = [(p, ShrinkSchedule.h(p), ShrinkSchedule.interval(p)) for p in schedule.p_values]
+    evaluator = f.sampled().evaluator
+    ps = schedule.p_values
+    intervals = [ShrinkSchedule.interval(p) for p in ps]
+    widths = [ShrinkSchedule.h(p) for p in ps]
+    exacts = [exact(iv) for iv in intervals]
     rows: list[QuadRow] = []
     for n in n_list:
-        steps = ((p, h, exact(iv), integrate(kind, sf, iv, n).value) for p, h, iv in shrink)
-        rows += _quad_rows(kind, f, n, steps, False)
+        sums = _patch_sums(make_rule(kind, n), evaluator, intervals)
+        values = [_finite_value(math.fsum([s])) for s in sums]
+        rows += _quad_rows(kind, f, n, zip(ps, widths, exacts, values), False)
     return _report("quad", rows)
 
 

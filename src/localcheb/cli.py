@@ -145,6 +145,8 @@ def _cmd_study_quad(args) -> str:
         ms: list[int | None] = (
             [args.m] if args.m is not None else _parse_range(args.m_range, "--m-range", MAX_NODES)
         )
+    elif args.m_range is not None:
+        raise ValueError("--m-range applies only to --fn xm_abs_exp")
     else:
         ms = [args.m]
     kind = QuadKind(args.rule)

@@ -140,3 +140,24 @@ def composite_reference(kind, f, a: float, b: float, pieces: int, n: int) -> flo
             terms.append(float(w) * float(f(x)))
         sums.append(0.5 * (hi - lo) * math.fsum(terms))
     return math.fsum(sums)
+
+
+def quad_study_reference(kind, f, ns, schedule):
+    """The quadrature convergence study as one integrate call per (n, p) cell.
+
+    Each cell builds its rule, samples its interval and recomputes the step's
+    exact integral on its own; the rows go through the package's own row
+    builder and report, so only the loop that produces the values differs.
+    """
+    from localcheb.analysis import ShrinkSchedule, _quad_rows, _report
+    from localcheb.quadrature import integrate
+
+    sf = f.sampled()
+    rows = []
+    for n in sorted(set(ns)):
+        steps = []
+        for p in schedule.p_values:
+            iv = ShrinkSchedule.interval(p)
+            steps.append((p, ShrinkSchedule.h(p), f.exact_integral(iv), integrate(kind, sf, iv, n).value))
+        rows += _quad_rows(kind, f, n, steps, False)
+    return _report("quad", rows)

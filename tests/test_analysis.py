@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from scipy.integrate import quad as scipy_quad
 
@@ -14,10 +15,12 @@ from localcheb import (
     QuadRow,
     ShrinkSchedule,
     StudyReport,
+    TestFunction,
     coefficient_decay_study,
     composite_convergence_study,
     continuous_coeffs,
     exp_fn,
+    integrate,
     merge_reports,
     poly_fn,
     power_abs_exp,
@@ -158,6 +161,11 @@ def test_function_id_dispatch():
         function_by_id("poly:a,b")
     with pytest.raises(ValueError):
         function_by_id("nope")
+    # the smooth functions have no regularity parameter; an m is refused, not dropped
+    for fn_id in ("exp", "poly:1,2"):
+        for m in (0, 3):
+            with pytest.raises(ValueError, match=f"test function '{fn_id}' takes no regularity parameter m, got {m}"):
+                function_by_id(fn_id, m)
 
 
 def test_decay_study_structure():
@@ -231,9 +239,27 @@ def test_quad_study_multiple_node_counts():
         quadrature_convergence_study(QuadKind.FEJER_I, poly_fn([1.0]), [], sched)
 
 
-def test_quad_study_needs_exact_integral():
-    from localcheb import TestFunction
+@pytest.mark.parametrize("kind", list(QuadKind), ids=lambda k: k.value)
+def test_quad_study_matches_one_integrate_per_cell(kind):
+    ns = range(kind.min_nodes, 17)
+    fns = [exp_fn(), function_by_id("poly:1,-2,0.5"), *map(power_abs_exp, range(6))]
+    for schedule in (ShrinkSchedule.doubling(1024), ShrinkSchedule((1, 3, 7, 20))):
+        for f in fns:
+            want = oracles.quad_study_reference(kind, f, ns, schedule).to_csv()
+            assert quadrature_convergence_study(kind, f, ns, schedule).to_csv() == want
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_quad_study_refuses_a_non_finite_sum_as_integrate_does(bad):
+    f = TestFunction("bad", None, lambda x: bad, exact_integral=lambda iv: 0.0)
+    with pytest.raises(ValueError) as direct:
+        integrate(QuadKind.FEJER_I, f.sampled(), ShrinkSchedule.interval(1), 4)
+    with pytest.raises(ValueError, match=f"quadrature value {bad!r} is not finite") as study:
+        quadrature_convergence_study(QuadKind.FEJER_I, f, [4, 5], ShrinkSchedule.doubling(8))
+    assert str(study.value) == str(direct.value)
+
+
+def test_quad_study_needs_exact_integral():
     bare = TestFunction("bare", None, math.exp)
     with pytest.raises(ValueError):
         quadrature_convergence_study(QuadKind.FEJER_I, bare, 4, ShrinkSchedule.doubling(2))

@@ -160,8 +160,18 @@ def test_input_errors_exit_one(capsys):
         ["quad", "--rule", "f1", "--n", "4", "--fn", "poly:nan", "--a", "0", "--b", "1"],
         ["quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "700", "--b", "800"],
         ["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
+        # a regularity given with a function that has none was once dropped with exit 0
+        ["study-quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--m-range", "0..3"],
+        ["study-quad", "--rule", "f1", "--n", "4", "--fn", "poly:1,2", "--m-range", "0..3"],
+        ["study-quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "2"],
+        ["quad", "--rule", "f1", "--n", "4", "--fn", "poly:1,2", "--m", "0", "--a", "0", "--b", "1"],
+        ["coeffs", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1", "--a", "0", "--b", "1"],
+        ["study-decay", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1"],
+        ["study-composite", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1", "--a", "0",
+         "--b", "1"],
     ],
-    ids=["non-finite", "overflow", "unwritable-out"],
+    ids=["non-finite", "overflow", "unwritable-out", "m-range-exp", "m-range-poly", "m-exp",
+         "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite"],
 )
 def test_runtime_errors_exit_one_with_one_line(args, tmp_path, capsys):
     rc = main([a.format(missing_dir=tmp_path / "missing") for a in args])
