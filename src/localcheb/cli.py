@@ -85,7 +85,34 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """json.dumps(obj, indent=2, allow_nan=False) plus a newline, byte for byte.
+
+    With an indent, json encodes in Python, one chunk per list item; the
+    indented text is assembled here so that each list of scalars takes one
+    call of the C encoder instead.  A non-finite float raises json's own
+    ValueError, which names the value.
+    """
+    try:
+        return _json_text(obj, "\n") + "\n"
+    except ValueError:
+        json.dumps(obj, indent=2, allow_nan=False)
+        raise
+
+
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, pad ("\\n" plus indent) starting each line."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+        items = (f"{json.dumps(key)}: {_json_text(value, inner)}" for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, list) and obj and all(type(item) in _JSON_SCALARS for item in obj):
+        body = json.dumps(obj, allow_nan=False, separators=("," + inner, ": "))
+        return "[" + inner + body[1:-1] + pad + "]"
+    # json escapes every newline inside a string, so each one left starts a line
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", pad)
 
 
 # ---------------------------------------------------------------------------

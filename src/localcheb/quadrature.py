@@ -8,6 +8,11 @@ and the patch sums are added with one more math.fsum.  A single patch is the
 one-patch case of that path, so the two entry points agree to the bit.  The
 quadrature convergence study shares the same path too: one patch-sum call per
 node count covers every interval of its shrink schedule.
+
+The patch sums are streamed: each patch is built and sampled only when the
+sum reaches it, so a composite run holds its breakpoints and one patch,
+and nothing else that grows with the number of patches.  math.fsum is
+exact, so streaming leaves every value bit for bit as it was.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coefficients import CoefficientSet, SampledFunction, discrete_coeffs
 from .polynomials import Interval, _index, affine_inverse, affine_map
@@ -43,26 +48,29 @@ class Partition:
             raise ValueError("a partition needs at least two breakpoints")
         if bp[0] != self.interval.a or bp[-1] != self.interval.b:
             raise ValueError("breakpoints must start at a and end at b")
-        for lo, hi in zip(bp, bp[1:]):
+        for lo, hi in itertools.pairwise(bp):
             if not hi > lo:
                 raise ValueError("breakpoints must be strictly increasing")
 
     @classmethod
     def equispaced(cls, interval: Interval, pieces: int) -> "Partition":
+        """pieces equal patches of interval, breakpoints a + (b - a) i / pieces.
+
+        The ends are exactly a and b, so the invariant holds in floating
+        point.  The tuple is built in one pass from an iterator, which grows
+        it in place: no list of the breakpoints is held beside it.
+        """
         pieces = _index(pieces, "pieces", 1)
         a, b = interval.a, interval.b
-        bp = [a + (b - a) * (i / pieces) for i in range(pieces + 1)]
-        # snap the ends so the invariant holds exactly in floating point
-        bp[0] = a
-        bp[-1] = b
-        return cls(interval, tuple(bp))
+        interior = (a + (b - a) * (i / pieces) for i in range(1, pieces))
+        return cls(interval, tuple(itertools.chain((a,), interior, (b,))))
 
     @property
     def pieces(self) -> int:
         return len(self.breakpoints) - 1
 
     def patches(self) -> list[Interval]:
-        return [Interval(lo, hi) for lo, hi in zip(self.breakpoints, self.breakpoints[1:])]
+        return [Interval(lo, hi) for lo, hi in itertools.pairwise(self.breakpoints)]
 
 
 @dataclass(frozen=True)
@@ -77,17 +85,19 @@ class QuadResult:
 
 def _patch_sums(
     rule: QuadratureRule, f: Callable[[float], float], patches: Iterable[Interval]
-) -> list[float]:
+) -> Iterator[float]:
     """The rule's weighted sum on each patch, each reduced exactly with math.fsum.
 
     The rule holds its nodes and weights as Python floats, so each node
-    costs one affine_map call, one evaluation and one multiply.
+    costs one affine_map call, one evaluation and one multiply.  The sums
+    come from an iterator, to be consumed once: a patch is sampled only when
+    its sum is asked for, so no list of P sums is held.
     """
     tw = list(zip(rule.node_values, rule.weight_values))
-    return [
+    return (
         0.5 * patch.h * math.fsum([w * float(f(affine_map(patch, t))) for t, w in tw])
         for patch in patches
-    ]
+    )
 
 
 def _finite_value(value: float) -> float:
@@ -110,12 +120,12 @@ def integrate_composite(
     """Apply the n-point rule on every patch of the partition and sum.
 
     integrate() is the one-patch case of the same sum, so a single patch
-    reproduces it bit for bit.
+    reproduces it bit for bit.  Each patch is built, sampled and added to
+    the running math.fsum in turn, so beyond the partition's breakpoints
+    the run holds one patch at a time, whatever the number of patches.
     """
     rule = make_rule(kind, n)
-    bp = partition.breakpoints
-    # each Interval is built as the sum reaches it, so P patches are never held at once
-    patches = map(Interval, bp, itertools.islice(bp, 1, None))
+    patches = itertools.starmap(Interval, itertools.pairwise(partition.breakpoints))
     value = _finite_value(math.fsum(_patch_sums(rule, f.evaluator, patches)))
     return QuadResult(value=value, kind=kind, n=n, evaluations=n * partition.pieces)
 

@@ -267,12 +267,17 @@ def make_rule(kind: QuadKind, n: int) -> QuadratureRule:
 
     n must be an integer (int or a numpy integer, not bool or float) and at
     least 1 (2 for Clenshaw-Curtis, whose node set contains both endpoints).
-    The result is a shared, immutable instance from a cache of the 128 most
-    recently used rules, enough for every rule a full paper sweep touches;
-    repeated calls with the same kind and n return the same object.  Invalid
+    The result is a shared, immutable instance; repeated calls with the same
+    kind and n return the same object while it stays cached.  Rules below
+    TRANSFORM_CUTOFF nodes come from a cache of the 128 most recently used,
+    enough for every rule a full paper sweep touches.  Larger rules come from
+    a cache of the 4 most recently used: a rule holds about 6 MiB at n =
+    2**16, so the large rules cached at once stay within about 30 MiB with
+    their arrays, where 128 of them could reach about 1 GiB.  Invalid
     arguments raise on every call: errors are not cached.
     """
-    return _build_rule(kind, _check_n(kind, n))
+    n = _check_n(kind, n)
+    return (_build_rule if n < TRANSFORM_CUTOFF else _build_large_rule)(kind, n)
 
 
 @functools.lru_cache(maxsize=128)
@@ -285,6 +290,9 @@ def _build_rule(kind: QuadKind, n: int) -> QuadratureRule:
         node_values=tuple(map(math.cos, thetas)),
         weight_values=tuple(_weights(kind, n, thetas)),
     )
+
+
+_build_large_rule = functools.lru_cache(maxsize=4)(_build_rule.__wrapped__)
 
 
 def _family_matrix(family: ChebKind, thetas: Any, degrees: Any) -> np.ndarray:

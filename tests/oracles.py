@@ -120,6 +120,13 @@ def simpson_value(f, a: float, b: float) -> float:
     return (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
 
 
+def equispaced_breakpoints(a: float, b: float, pieces: int) -> tuple:
+    """Every a + (b - a) * (i / pieces) built as a list, then both ends snapped to a and b exactly."""
+    bp = [a + (b - a) * (i / pieces) for i in range(pieces + 1)]
+    bp[0], bp[-1] = a, b
+    return tuple(bp)
+
+
 def composite_reference(kind, f, a: float, b: float, pieces: int, n: int) -> float:
     """Composite quadrature written out term by term, for bit-for-bit comparison.
 
@@ -130,8 +137,7 @@ def composite_reference(kind, f, a: float, b: float, pieces: int, n: int) -> flo
     from localcheb import make_rule
 
     rule = make_rule(kind, n)
-    bp = [a + (b - a) * (i / pieces) for i in range(pieces + 1)]
-    bp[0], bp[-1] = a, b
+    bp = equispaced_breakpoints(a, b, pieces)
     sums = []
     for lo, hi in zip(bp, bp[1:]):
         terms = []

@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localcheb.cli as cli
 import localcheb.verify as verify
@@ -232,6 +235,32 @@ def test_usage_error_between_calls_changes_nothing(capsys):
 def test_json_output_refuses_non_finite_values():
     with pytest.raises(ValueError):
         cli._json_dumps({"value": float("nan")})
+
+
+_JSON_SCALAR = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+_JSON_VALUE = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_JSON_VALUE)
+def test_json_dumps_matches_the_indented_encoder(obj):
+    assert cli._json_dumps(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrap", [lambda v: [1.0, v], lambda v: {"value": v}, lambda v: {"k": [[v]]}])
+def test_json_dumps_refuses_non_finite_with_the_encoder_text(bad, wrap):
+    obj = wrap(bad)
+    with pytest.raises(ValueError) as want:
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._json_dumps(obj)
+    assert str(got.value) == str(want.value) and repr(bad) in str(got.value)
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -101,6 +102,30 @@ def test_composite_matches_reference_sum_bit_for_bit(kind):
                     got = integrate_composite(kind, SampledFunction(f), part, n).value
                     assert got == oracles.composite_reference(kind, f, a, b, pieces, n), (
                         a, b, n, pieces, f)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-0.546, 0.568), (3.0, 7.25)])
+def test_equispaced_breakpoints_match_list_and_snap_bit_for_bit(a, b):
+    for pieces in (1, 2, 3, 7, 2**16):
+        got = Partition.equispaced(Interval(a, b), pieces).breakpoints
+        want = oracles.equispaced_breakpoints(a, b, pieces)
+        assert type(got) is tuple and len(got) == pieces + 1
+        assert all(x.hex() == y.hex() for x, y in zip(got, want)), (a, b, pieces)
+
+
+def test_composite_holds_no_per_patch_memory():
+    part = Partition.equispaced(Interval(-0.5, 1.0), 2**16)
+    # build and cache the rule first, so only the sum itself is traced
+    integrate_composite(QuadKind.CLENSHAW_CURTIS, EXP, Partition.equispaced(Interval(-0.5, 1.0), 2), 4)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        integrate_composite(QuadKind.CLENSHAW_CURTIS, EXP, part, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of 2**16 sums or patches alone would take over 2 MiB
+    assert peak - start < 64 * 1024
 
 
 def test_composite_keeps_per_patch_overflow_check():

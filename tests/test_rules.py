@@ -148,6 +148,20 @@ def test_make_rule_returns_one_shared_rule():
         assert make_rule(kind, 8) is make_rule(kind, 8)
 
 
+def test_large_rules_are_cached_four_at_a_time():
+    small = {kind: make_rule(kind, 8) for kind in ALL_KINDS}
+    first = make_rule(QuadKind.FEJER_I, 64)
+    for n in (65, 66, 67):
+        make_rule(QuadKind.FEJER_I, n)
+    assert make_rule(QuadKind.FEJER_I, 64) is first
+    # 64 is now the most recent of four; four more large rules push it out
+    for n in (68, 69, 70, 71):
+        make_rule(QuadKind.FEJER_I, n)
+    rebuilt = make_rule(QuadKind.FEJER_I, 64)
+    assert rebuilt is not first and rebuilt.weight_values == first.weight_values
+    assert all(make_rule(kind, 8) is rule for kind, rule in small.items())
+
+
 def test_cached_rules_equal_fresh_builds_bit_for_bit():
     build = rules._build_rule.__wrapped__
     for kind in ALL_KINDS:
