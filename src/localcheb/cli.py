@@ -264,14 +264,21 @@ def _build_parser() -> _Parser:
     return p
 
 
-_LIMITS = (("n", MAX_NODES), ("patches", MAX_PATCHES), ("p_max", MAX_PATCHES))
+# (dest, lowest, highest) of each bounded integer option; --n has no lowest
+# here, since it depends on the rule and make_rule's error names the rule
+_LIMITS = (("n", None, MAX_NODES), ("patches", 1, MAX_PATCHES), ("p_max", 1, MAX_PATCHES))
 
 
 def _check_limits(args) -> None:
-    for dest, limit in _LIMITS:
+    for dest, low, high in _LIMITS:
         value = getattr(args, dest, None)
-        if value is not None and value > limit:
-            raise ValueError(f"--{dest.replace('_', '-')} must be at most {limit}, got {value}")
+        if value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if low is not None and value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
+        if value > high:
+            raise ValueError(f"{flag} must be at most {high}, got {value}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

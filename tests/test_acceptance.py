@@ -238,7 +238,7 @@ def test_c05_discrete_orthogonality_property_suite():
 
 def test_c06_interpolatory_exactness():
     passed, detail = SUITES["exactness"]()
-    _check(6, passed, f"{detail}, all rules n <= 12, 20 random intervals")
+    _check(6, passed, f"{detail}, all rules n <= 12, 20 fixed intervals")
 
 
 def test_c07_inter_kind_relations():

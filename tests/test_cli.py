@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,30 +159,52 @@ def test_input_errors_exit_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, says",
     [
-        ["quad", "--rule", "f1", "--n", "4", "--fn", "poly:nan", "--a", "0", "--b", "1"],
-        ["quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "700", "--b", "800"],
-        ["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
+        (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:nan", "--a", "0", "--b", "1"],
+         "is not finite"),
+        (["quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "700", "--b", "800"],
+         "numeric overflow"),
+        (["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
+         "No such file or directory"),
         # a regularity given with a function that has none was once dropped with exit 0
-        ["study-quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--m-range", "0..3"],
-        ["study-quad", "--rule", "f1", "--n", "4", "--fn", "poly:1,2", "--m-range", "0..3"],
-        ["study-quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "2"],
-        ["quad", "--rule", "f1", "--n", "4", "--fn", "poly:1,2", "--m", "0", "--a", "0", "--b", "1"],
-        ["coeffs", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1", "--a", "0", "--b", "1"],
-        ["study-decay", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1"],
-        ["study-composite", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1", "--a", "0",
-         "--b", "1"],
+        (["study-quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--m-range", "0..3"],
+         "--m-range applies only to --fn xm_abs_exp"),
+        (["study-quad", "--rule", "f1", "--n", "4", "--fn", "poly:1,2", "--m-range", "0..3"],
+         "--m-range applies only to --fn xm_abs_exp"),
+        (["study-quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "2"],
+         "takes no regularity parameter m"),
+        (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:1,2", "--m", "0", "--a", "0", "--b", "1"],
+         "takes no regularity parameter m"),
+        (["coeffs", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1", "--a", "0", "--b", "1"],
+         "takes no regularity parameter m"),
+        (["study-decay", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1"],
+         "takes no regularity parameter m"),
+        (["study-composite", "--rule", "f1", "--n", "4", "--fn", "exp", "--m", "1", "--a", "0",
+          "--b", "1"], "takes no regularity parameter m"),
+        # lower bounds name the flag, not the library's parameter (pieces, p_max)
+        (["quad", "--rule", "f1", "--n", "4", "--patches", "0", "--fn", "exp", "--a", "0", "--b", "1"],
+         "--patches must be at least 1, got 0"),
+        (["quad", "--rule", "f1", "--n", "4", "--patches=-3", "--fn", "exp", "--a", "0", "--b", "1"],
+         "--patches must be at least 1, got -3"),
+        (["study-decay", "--rule", "f1", "--n", "8", "--m", "1", "--p-max", "0"],
+         "--p-max must be at least 1, got 0"),
+        (["study-quad", "--rule", "f1", "--n", "4", "--m", "1", "--p-max", "0"],
+         "--p-max must be at least 1, got 0"),
+        (["study-composite", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "0", "--b", "1",
+          "--p-max", "0"], "--p-max must be at least 1, got 0"),
     ],
     ids=["non-finite", "overflow", "unwritable-out", "m-range-exp", "m-range-poly", "m-exp",
-         "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite"],
+         "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite", "patches-zero",
+         "patches-negative", "p-max-zero-decay", "p-max-zero-quad", "p-max-zero-composite"],
 )
-def test_runtime_errors_exit_one_with_one_line(args, tmp_path, capsys):
+def test_runtime_errors_exit_one_with_one_line(args, says, tmp_path, capsys):
     rc = main([a.format(missing_dir=tmp_path / "missing") for a in args])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("localcheb: error:")
+    assert says in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -282,6 +305,37 @@ def test_verify_output_matches_golden(capsys):
 def test_suite_names_match_verify():
     # the parser lists the suites itself, so that only the verify command imports verify
     assert cli._SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_exactness_intervals_are_the_seeded_draws():
+    # the loop that drew the intervals at run time, kept as the table's referee
+    rng = np.random.default_rng(271828)
+    drawn = []
+    while len(drawn) < 20:
+        lo, hi = np.sort(rng.uniform(-2.0, 2.0, size=2))
+        if hi - lo >= 0.25:
+            drawn.append((float(lo), float(hi)))
+    table = verify._EXACTNESS_INTERVALS
+    assert [(a.hex(), b.hex()) for a, b in table] == [(a.hex(), b.hex()) for a, b in drawn]
+    assert all(type(x) is float for pair in table for x in pair)
+
+
+_VERIFY_WITHOUT_RANDOM_SCRIPT = """
+import sys
+from localcheb.cli import main
+
+rc = main(["verify"])
+if "numpy.random" in sys.modules:
+    sys.exit("numpy.random imported by: localcheb verify")
+sys.exit(rc)
+"""
+
+
+def test_verify_does_not_import_numpy_random():
+    proc = subprocess.run([sys.executable, "-c", _VERIFY_WITHOUT_RANDOM_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.encode() == (GOLDEN_DIR / "verify.txt").read_bytes()
 
 
 # Every option of every subcommand, in declaration order, as
