@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .coefficients import SampledFunction, discrete_coeffs
 from .polynomials import ChebKind, Interval, _index
-from .quadrature import Partition, _finite_value, _patch_sums, integrate_composite
+from .quadrature import _StreamedPartition, _finite_value, _patch_sums, integrate_composite
 from .rules import QuadKind, _check_n, family_for_rule, make_rule
 
 __all__ = [
@@ -443,6 +443,8 @@ def composite_convergence_study(
     """Composite-rule error on a fixed interval as the patch count doubles.
 
     Rows reuse the quadrature schema with p = patch count and h = patch width.
+    Each patch count streams its equispaced breakpoints into the composite
+    sum, so the study holds no memory that grows with p.
     """
     if f.exact_integral is None:
         raise ValueError("composite study needs a test function with an exact integral")
@@ -452,7 +454,7 @@ def composite_convergence_study(
     exact = f.exact_integral(interval)
     sf = f.sampled()
     steps = ((p, interval.h / p, exact,
-              integrate_composite(kind, sf, Partition.equispaced(interval, p), n).value)
+              integrate_composite(kind, sf, _StreamedPartition(interval, p), n).value)
              for p in ps)
     return _report("quad", _quad_rows(kind, f, n, steps, True))
 

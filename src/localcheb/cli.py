@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .coefficients import discrete_coeffs
 from .polynomials import Interval
-from .quadrature import Partition, integrate_composite
+from .quadrature import _StreamedPartition, integrate_composite
 from .rules import QuadKind, make_rule
 
 __all__ = ["MAX_NODES", "MAX_PATCHES", "main"]
@@ -141,7 +141,7 @@ def _cmd_quad(args) -> dict:
     fn = function_by_id(args.fn, args.m)
     iv = Interval(args.a, args.b)
     kind = QuadKind(args.rule)
-    res = integrate_composite(kind, fn.sampled(), Partition.equispaced(iv, args.patches), args.n)
+    res = integrate_composite(kind, fn.sampled(), _StreamedPartition(iv, args.patches), args.n)
     abs_error = None
     if fn.exact_integral is not None:
         abs_error = abs(fn.exact_integral(iv) - res.value)
@@ -281,6 +281,16 @@ def _check_limits(args) -> None:
             raise ValueError(f"{flag} must be at most {high}, got {value}")
 
 
+def _overflow_site(args) -> str:
+    """' evaluating FN on [A, B]', or as much of it as the subcommand has options for."""
+    site = ""
+    if getattr(args, "fn", None) is not None:
+        site += f" evaluating {args.fn}"
+    if getattr(args, "a", None) is not None:
+        site += f" on [{args.a}, {args.b}]"
+    return site
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -291,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(_json_dumps(artifact) if isinstance(artifact, dict) else artifact, args.out)
         return 0
     except OverflowError as exc:
-        print(f"localcheb: error: numeric overflow ({exc})", file=sys.stderr)
+        print(f"localcheb: error: numeric overflow{_overflow_site(args)} ({exc})", file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"localcheb: error: {exc}", file=sys.stderr)
     return 1

@@ -133,10 +133,13 @@ def clamp_reference(t: float) -> float:
 def affine_map(interval: Interval, t: float) -> float:
     """Map the reference coordinate t in [-1, 1] onto [a, b].
 
-    Called once per sampled node, so it reads the endpoints directly; the
-    expression is 0.5 * h * t + midpoint in the same order, bit for bit.
+    Called once per sampled node, so it reads the endpoints directly, and
+    calls clamp_reference only for a t outside [-1, 1] (NaN included, which
+    it rejects); the expression is 0.5 * h * t + midpoint in the same order,
+    bit for bit.
     """
-    t = clamp_reference(t)
+    if not -1.0 <= t <= 1.0:
+        t = clamp_reference(t)
     a, b = interval.a, interval.b
     return 0.5 * (b - a) * t + 0.5 * (a + b)
 

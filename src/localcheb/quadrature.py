@@ -11,8 +11,13 @@ node count covers every interval of its shrink schedule.
 
 The patch sums are streamed: each patch is built and sampled only when the
 sum reaches it, so a composite run holds its breakpoints and one patch,
-and nothing else that grows with the number of patches.  math.fsum is
-exact, so streaming leaves every value bit for bit as it was.
+and nothing else that grows with the number of patches.  The command line's
+``quad`` and ``study-composite`` stream their equispaced breakpoints too, so
+their memory does not depend on ``--patches``: one generator gives the
+points of Partition.equispaced, one check proves them strictly increasing,
+and one composite sum reduces them, whether they come from a tuple or are
+streamed.  math.fsum is exact and the points are the same floats, so
+streaming leaves every value bit for bit as it was.
 """
 
 from __future__ import annotations
@@ -48,22 +53,19 @@ class Partition:
             raise ValueError("a partition needs at least two breakpoints")
         if bp[0] != self.interval.a or bp[-1] != self.interval.b:
             raise ValueError("breakpoints must start at a and end at b")
-        for lo, hi in itertools.pairwise(bp):
-            if not hi > lo:
-                raise ValueError("breakpoints must be strictly increasing")
+        _check_increasing(bp)
 
     @classmethod
     def equispaced(cls, interval: Interval, pieces: int) -> "Partition":
         """pieces equal patches of interval, breakpoints a + (b - a) i / pieces.
 
         The ends are exactly a and b, so the invariant holds in floating
-        point.  The tuple is built in one pass from an iterator, which grows
-        it in place: no list of the breakpoints is held beside it.
+        point.  The partition holds all pieces + 1 breakpoints as a tuple of
+        floats, built in one pass from an iterator, which grows it in place:
+        no list of the breakpoints is held beside it.
         """
         pieces = _index(pieces, "pieces", 1)
-        a, b = interval.a, interval.b
-        interior = (a + (b - a) * (i / pieces) for i in range(1, pieces))
-        return cls(interval, tuple(itertools.chain((a,), interior, (b,))))
+        return cls(interval, tuple(_equispaced(interval.a, interval.b, pieces)))
 
     @property
     def pieces(self) -> int:
@@ -71,6 +73,54 @@ class Partition:
 
     def patches(self) -> list[Interval]:
         return [Interval(lo, hi) for lo, hi in itertools.pairwise(self.breakpoints)]
+
+
+def _equispaced(a: float, b: float, pieces: int) -> Iterator[float]:
+    """a, then a + (b - a) * (i / pieces) for 0 < i < pieces, then b exactly."""
+    interior = (a + (b - a) * (i / pieces) for i in range(1, pieces))
+    return itertools.chain((a,), interior, (b,))
+
+
+def _check_increasing(points: Iterable[float]) -> None:
+    for lo, hi in itertools.pairwise(points):
+        if not hi > lo:
+            raise ValueError("breakpoints must be strictly increasing")
+
+
+# An equispaced step (b - a) / pieces above this many ulps of max(|a|, |b|)
+# proves the points strictly increasing without a pass over them.  Every
+# rounding in a + (b - a) * (i / pieces) is monotone, so the points never
+# decrease.  Before the last rounding, neighbours lie at least
+# (1 - 4.2 * pieces * 2**-53) steps apart, over half a step since a step
+# this large forces pieces < 2**50; and half of eight ulps exceeds the
+# spacing of the floats they round to, at most two ulps of the larger end,
+# so no two round together.  (Two ulps suffice in practice, one does not.)
+# Below the bound the full pass decides.
+_STRICT_STEP_ULPS = 8
+
+
+class _StreamedPartition:
+    """Partition.equispaced(interval, pieces) without its tuple of breakpoints.
+
+    Constructed with the checks of Partition.equispaced, in its order and
+    with its messages, so an invalid partition fails before any sample.
+    Each read of breakpoints streams the same floats afresh, so a composite
+    run over it holds nothing that grows with pieces; integrate_composite
+    reads only pieces and one pass of breakpoints.
+    """
+
+    __slots__ = ("interval", "pieces")
+
+    def __init__(self, interval: Interval, pieces: int):
+        pieces = _index(pieces, "pieces", 1)
+        a, b = interval.a, interval.b
+        if not (b - a) / pieces > _STRICT_STEP_ULPS * math.ulp(max(abs(a), abs(b))):
+            _check_increasing(_equispaced(a, b, pieces))
+        self.interval, self.pieces = interval, pieces
+
+    @property
+    def breakpoints(self) -> Iterator[float]:
+        return _equispaced(self.interval.a, self.interval.b, self.pieces)
 
 
 @dataclass(frozen=True)
@@ -107,10 +157,17 @@ def _finite_value(value: float) -> float:
     return value
 
 
+def _composite_sum(rule: QuadratureRule, f: Callable[[float], float],
+                   breakpoints: Iterable[float]) -> float:
+    """The rule's sum over the patches between consecutive breakpoints, read in one pass."""
+    patches = itertools.starmap(Interval, itertools.pairwise(breakpoints))
+    return _finite_value(math.fsum(_patch_sums(rule, f, patches)))
+
+
 def integrate(kind: QuadKind, f: SampledFunction, interval: Interval, n: int) -> QuadResult:
     """Apply the n-point rule of the given kind once over the whole interval."""
     rule = make_rule(kind, n)
-    value = _finite_value(math.fsum(_patch_sums(rule, f.evaluator, [interval])))
+    value = _composite_sum(rule, f.evaluator, (interval.a, interval.b))
     return QuadResult(value=value, kind=kind, n=n, evaluations=n)
 
 
@@ -123,10 +180,12 @@ def integrate_composite(
     reproduces it bit for bit.  Each patch is built, sampled and added to
     the running math.fsum in turn, so beyond the partition's breakpoints
     the run holds one patch at a time, whatever the number of patches.
+    The command line's quad and study-composite pass a partition that
+    streams its equispaced breakpoints, so they hold memory independent of
+    --patches.
     """
     rule = make_rule(kind, n)
-    patches = itertools.starmap(Interval, itertools.pairwise(partition.breakpoints))
-    value = _finite_value(math.fsum(_patch_sums(rule, f.evaluator, patches)))
+    value = _composite_sum(rule, f.evaluator, partition.breakpoints)
     return QuadResult(value=value, kind=kind, n=n, evaluations=n * partition.pieces)
 
 

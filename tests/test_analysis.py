@@ -1,6 +1,7 @@
 """Study harness: schedules, rate estimators, report structure, floors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -286,6 +287,22 @@ def test_composite_study_dyadic_matches_plain_rate():
         assert nocs[i] == rate(errs[i - 1], errs[i])  # exactly the log2 form
     with pytest.raises(ValueError):
         composite_convergence_study(QuadKind.FEJER_I, exp_fn(), 2, iv, [0, 1])
+
+
+def test_composite_study_memory_does_not_grow_with_patches():
+    iv, ps = Interval(-0.5, 1.0), [1, 2**8, 2**16]
+    # build and cache the rule first, so only the study itself is traced
+    composite_convergence_study(QuadKind.CLENSHAW_CURTIS, exp_fn(), 4, iv, [1])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = composite_convergence_study(QuadKind.CLENSHAW_CURTIS, exp_fn(), 4, iv, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.p for r in rep.rows] == ps
+    # the 2**16 + 1 breakpoints of the last patch count alone would take over 1.5 MiB
+    assert peak - start < 64 * 1024
 
 
 _SCHED = ShrinkSchedule.doubling(2)

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +164,16 @@ def test_input_errors_exit_one(capsys):
     [
         (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:nan", "--a", "0", "--b", "1"],
          "is not finite"),
+        # an overflow names the function and the interval it was evaluated on
         (["quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "700", "--b", "800"],
-         "numeric overflow"),
+         "numeric overflow evaluating exp on [700.0, 800.0] (math range error)"),
+        (["coeffs", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "0", "--b", "1e308"],
+         "numeric overflow evaluating exp on [0.0, 1e+308] (math range error)"),
         (["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
          "No such file or directory"),
+        # neighbouring breakpoints of 64 patches round together; refused before any sample
+        (["quad", "--rule", "f1", "--n", "0", "--fn", "exp", "--a", "1", "--b", "1.000000000000001",
+          "--patches", "64"], "breakpoints must be strictly increasing"),
         # a regularity given with a function that has none was once dropped with exit 0
         (["study-quad", "--rule", "f1", "--n", "4", "--fn", "exp", "--m-range", "0..3"],
          "--m-range applies only to --fn xm_abs_exp"),
@@ -194,7 +201,8 @@ def test_input_errors_exit_one(capsys):
         (["study-composite", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "0", "--b", "1",
           "--p-max", "0"], "--p-max must be at least 1, got 0"),
     ],
-    ids=["non-finite", "overflow", "unwritable-out", "m-range-exp", "m-range-poly", "m-exp",
+    ids=["non-finite", "overflow", "overflow-coeffs", "unwritable-out",
+         "breakpoints-collapse", "m-range-exp", "m-range-poly", "m-exp",
          "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite", "patches-zero",
          "patches-negative", "p-max-zero-decay", "p-max-zero-quad", "p-max-zero-composite"],
 )
@@ -253,6 +261,23 @@ def test_usage_error_between_calls_changes_nothing(capsys):
     capsys.readouterr()
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_quad_memory_does_not_grow_with_patches(capsys):
+    argv = ["quad", "--rule", "cc", "--n", "4", "--fn", "exp", "--a", "0", "--b", "1", "--patches"]
+    # build the parser and the rule first, so only the run itself is traced
+    assert main(argv + ["2"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv + ["65536"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["value"] == 1.7182818284590453
+    # a tuple of the 65537 breakpoints alone would take over 2 MiB
+    assert peak - start < 64 * 1024
 
 
 def test_json_output_refuses_non_finite_values():

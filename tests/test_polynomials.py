@@ -165,6 +165,16 @@ def test_affine_map_endpoints_and_roundtrip():
     assert affine_inverse(iv, 1.0 + 1e-13) == 1.0
 
 
+def test_affine_map_clamps_only_round_off():
+    iv = Interval(-0.5, 1.0)
+    # spill within the band snaps to the endpoint; NaN and far points raise
+    assert affine_map(iv, 1.0 + 1e-13) == 1.0
+    assert affine_map(iv, -1.0 - 1e-13) == -0.5
+    for t in (math.nan, 1.0 + 1e-9, -math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            affine_map(iv, t)
+
+
 def test_affine_inverse_rejects_nan():
     with pytest.raises(ValueError, match="nan"):
         affine_inverse(Interval(-0.5, 1.0), math.nan)

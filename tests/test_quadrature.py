@@ -16,6 +16,8 @@ from localcheb import (
     interpolant_eval,
     power_abs_exp,
 )
+from localcheb import quadrature
+from localcheb.quadrature import _StreamedPartition
 
 EXP = SampledFunction(math.exp)
 
@@ -111,6 +113,63 @@ def test_equispaced_breakpoints_match_list_and_snap_bit_for_bit(a, b):
         want = oracles.equispaced_breakpoints(a, b, pieces)
         assert type(got) is tuple and len(got) == pieces + 1
         assert all(x.hex() == y.hex() for x, y in zip(got, want)), (a, b, pieces)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-0.546, 0.568), (3.0, 7.25)])
+def test_streamed_breakpoints_match_equispaced_bit_for_bit(a, b):
+    for pieces in (1, 2, 3, 7, 2**16):
+        streamed = _StreamedPartition(Interval(a, b), pieces)
+        want = [x.hex() for x in Partition.equispaced(Interval(a, b), pieces).breakpoints]
+        assert streamed.pieces == pieces
+        for _ in range(2):  # each read streams the same floats afresh
+            assert [x.hex() for x in streamed.breakpoints] == want, (a, b, pieces)
+
+
+def _outcome(build, *args):
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+@pytest.mark.parametrize("a", [1.0, -3.7, 1e-300, 2.0**52, -1e300, 5e-324])
+@pytest.mark.parametrize("pieces", [1, 3, 64, 4097])
+def test_strictness_bound_skips_the_pass_only_where_it_holds(a, pieces, monkeypatch):
+    full_pass, passes = quadrature._check_increasing, []
+
+    def recorded(points):
+        passes.append(points)
+        full_pass(points)
+
+    monkeypatch.setattr(quadrature, "_check_increasing", recorded)
+    edge = quadrature._STRICT_STEP_ULPS * pieces * math.ulp(a)
+    sides = set()
+    for scale in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0):
+        iv = Interval(a, a + scale * edge)
+        step, ulp = (iv.b - a) / pieces, math.ulp(max(abs(a), abs(iv.b)))
+        clears = step > quadrature._STRICT_STEP_ULPS * ulp
+        sides.add(clears)
+        del passes[:]
+        got = _outcome(_StreamedPartition, iv, pieces)
+        # above the bound no pass is made; below it one pass decides
+        assert len(passes) == (0 if clears else 1)
+        assert got == _outcome(Partition.equispaced, iv, pieces)
+        if clears:  # the bound's claim: the points are strictly increasing all the same
+            full_pass(quadrature._equispaced(iv.a, iv.b, pieces))
+    assert sides == {False, True}
+
+
+def test_streamed_partition_rejects_collapsing_breakpoints():
+    # 64 patches of an interval 4 ulps wide: neighbouring breakpoints round together
+    iv = Interval(1.0, 1.000000000000001)
+    for build in (Partition.equispaced, _StreamedPartition):
+        with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+            build(iv, 64)
+        with pytest.raises(ValueError, match="pieces must be at least 1"):
+            build(iv, 0)
+        with pytest.raises(TypeError):
+            build(iv, 2.0)
 
 
 def test_composite_holds_no_per_patch_memory():
