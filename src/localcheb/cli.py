@@ -60,8 +60,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_range(text: str, what: str, limit: int) -> list[int]:
-    """Parse 'LO..HI' (inclusive) into a list of ints within 0..limit."""
+def _parse_range(text: str, what: str) -> list[int]:
+    """Parse 'LO..HI' (inclusive) into a list of ints within 0..MAX_NODES."""
     parts = text.split("..")
     if len(parts) != 2:
         raise ValueError(f"{what} must look like LO..HI, got {text!r}")
@@ -71,9 +71,17 @@ def _parse_range(text: str, what: str, limit: int) -> list[int]:
         raise ValueError(f"{what} bounds must be integers, got {text!r}") from exc
     if hi < lo:
         raise ValueError(f"{what} upper bound below lower bound in {text!r}")
-    if lo < 0 or hi > limit:
-        raise ValueError(f"{what} bounds must be at most {limit} and at least 0, got {text!r}")
+    if lo < 0 or hi > MAX_NODES:
+        raise ValueError(f"{what} bounds must be at most {MAX_NODES} and at least 0, got {text!r}")
     return list(range(lo, hi + 1))
+
+
+def _value_or_range(args, dest: str) -> list:
+    """[--DEST] or the values of --DEST-range, exactly one of which must be given."""
+    value, text = getattr(args, dest), getattr(args, dest + "_range")
+    if (value is None) == (text is None):
+        raise ValueError(f"give exactly one of --{dest} or --{dest}-range")
+    return [value] if text is None else _parse_range(text, f"--{dest}-range")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -157,21 +165,15 @@ def _cmd_quad(args) -> dict:
 
 def _cmd_study_decay(args) -> str:
     fn = function_by_id(args.fn, args.m)
-    ks = _parse_range(args.k_range, "--k-range", MAX_NODES) if args.k_range else range(1, args.n)
+    ks = _parse_range(args.k_range, "--k-range") if args.k_range else range(1, args.n)
     schedule = ShrinkSchedule.doubling(args.p_max)
     return coefficient_decay_study(QuadKind(args.rule), fn, args.n, ks, schedule).to_csv()
 
 
 def _cmd_study_quad(args) -> str:
-    if (args.n is None) == (args.n_range is None):
-        raise ValueError("give exactly one of --n or --n-range")
-    ns = [args.n] if args.n is not None else _parse_range(args.n_range, "--n-range", MAX_NODES)
+    ns = _value_or_range(args, "n")
     if args.fn == "xm_abs_exp":
-        if (args.m is None) == (args.m_range is None):
-            raise ValueError("give exactly one of --m or --m-range")
-        ms: list[int | None] = (
-            [args.m] if args.m is not None else _parse_range(args.m_range, "--m-range", MAX_NODES)
-        )
+        ms: list[int | None] = _value_or_range(args, "m")
     elif args.m_range is not None:
         raise ValueError("--m-range applies only to --fn xm_abs_exp")
     else:

@@ -8,16 +8,26 @@ decreasing.  One table row per rule gives its angle grid theta_j =
 (step j + offset) pi / den and the alias period P = 2 den / step that the
 FFTs and the closed-form orthogonality read.
 
-Weights come from one trigonometric sum per rule, kept as a spectrum
-(terms m, c, d and cos or sin) and summed by two paths that never ask for
-the rule.  Below TRANSFORM_CUTOFF nodes one loop over Python floats adds
-c trig(m theta) / d term by term in O(n^2); this covers the paper's tables
-(n <= 16) and the goldens, and needs no numpy.  From TRANSFORM_CUTOFF nodes
-on, one inverse FFT of the spectrum gives the same sums in O(n log n).  The
-paths agree to within 1e-16 and are deterministic, so a rule's output is
-byte-identical from run to run.  numpy is imported only by the FFT, the
-array accessors and the orthogonality helpers, so a small rule costs no
-numpy import.
+Two transforms of that grid live here, each summed by two paths that never
+ask for the rule.  Weights come from one trigonometric sum per rule, kept
+as a spectrum (terms m, c, d and cos or sin).  Below TRANSFORM_CUTOFF nodes
+one loop over Python floats adds c trig(m theta) / d term by term in
+O(n^2); this covers the paper's tables (n <= 16) and the goldens, and needs
+no numpy.  From TRANSFORM_CUTOFF nodes on, one inverse FFT of the spectrum
+gives the same sums in O(n log n).  The paths agree to within 1e-16 and are
+deterministic, so a rule's output is byte-identical from run to run.
+
+Coefficients come from samples f_j at the nodes.  Per rule, one analysis
+table gives the weighted samples b_j = f_j w(t_j) / D(theta_j) and, from the
+family's angle form, the shift s and cos or sin; coefficient k is sum_j b_j
+trig((k + s) theta_j) over the rule's discrete norm N_k.  The U, V and W
+node factors equal D^2 / s, so b_j = f_j D(theta_j) / s: the quotient
+cancels and no node ever divides by a small cosine or sine.  The table and
+its math.fsum sums are Python floats below TRANSFORM_CUTOFF nodes and numpy
+arrays from it on, where TRANSFORM_CUTOFF degrees or more come from one real
+FFT instead.  numpy is imported only by the FFTs, the array paths and
+accessors and the orthogonality helpers, so a small rule or coefficient set
+costs no numpy import.
 
 Each family's angle form P_k(cos theta) = trig((k + s) theta) / trig(s theta)
 is one row (s, trig) of a second table, and ``_norm`` gives each rule's
@@ -197,6 +207,87 @@ def _weights(kind: QuadKind, n: int, thetas: Sequence[float]) -> list[float]:
     factors = [(2 / s) * math.sin(th) for th in thetas] if s else _node_factors(kind, thetas)
     norm = _norm(kind, n)
     return [factor / norm * total for factor, total in zip(factors, acc)]
+
+
+# magnitudes below this are flushed to exact zeros when coefficients are built
+SUBNORMAL_FLUSH = 1e-300
+
+
+def _coeff_values(
+    kind: QuadKind, thetas: Sequence[float], fvals: Sequence[float], n: int, ks: Sequence[int]
+) -> list[float]:
+    """Discrete coefficients of degrees ks from samples fvals at the n-point rule's angles.
+
+    Each node sum but _array_sums' FFT is formed termwise and reduced with
+    math.fsum, so it is the correctly rounded sum of its rounded terms.  The
+    paper's tables (n <= 16) and the goldens come from the Python-float path
+    below TRANSFORM_CUTOFF nodes, which needs no numpy.
+    """
+    if n < TRANSFORM_CUTOFF:
+        # First-kind rules have D = 1 and a node factor of 1 or 1/2, so f_j
+        # times it is exact; the other families have w = D^2 / s, so b_j =
+        # f_j D / s with D = trig(s theta), and dividing by s = 1 or 1/2 is exact.
+        shift, trig = _ANGLE_FORM[_FAMILY[kind]]
+        if shift:
+            base = [f * (trig(shift * th) / shift) for f, th in zip(fvals, thetas)]
+        else:
+            base = [f * w for f, w in zip(fvals, _node_factors(kind, thetas))]
+        sums = [math.fsum([b * trig((k + shift) * th) for b, th in zip(base, thetas)]) for k in ks]
+    else:
+        sums = _array_sums(kind, thetas, fvals, n, ks)
+    out = _normalise(kind, n, ks, sums)
+    return [0.0 if abs(v) < SUBNORMAL_FLUSH else v for v in out]
+
+
+def _array_sums(
+    kind: QuadKind, thetas: Sequence[float], fvals: Sequence[float], n: int, ks: Sequence[int]
+) -> list[float]:
+    """The node sums of _coeff_values from TRANSFORM_CUTOFF nodes on, over float64 arrays.
+
+    The analysis table is the termwise path's, formed by the same elementwise
+    operations on arrays; at these sizes a Python loop over the nodes would
+    cost more than the sums.  Fewer than TRANSFORM_CUTOFF degrees, as continuous
+    coefficients ask for, keep the termwise sums, one array row per degree;
+    more come from one real FFT in O(n log n).  The FFT and the termwise
+    sums agree to within n * eps * max|f|; most of that gap is the termwise
+    sums' own rounding of k * theta_j before the cosine.  Both are
+    deterministic, so repeated runs are reproducible to the bit.
+    """
+    import numpy as np
+
+    shift, trig = _ANGLE_FORM[_FAMILY[kind]]
+    trig = getattr(np, trig.__name__)
+    th, fv = np.array(thetas), np.array(fvals)
+    base = fv * (trig(shift * th) / shift if shift else np.array(_node_factors(kind, thetas)))
+    if len(ks) < TRANSFORM_CUTOFF:
+        return [math.fsum((base * trig((k + shift) * th)).tolist()) for k in ks]
+    # theta_j = theta_0 + 2 pi j / P.  A half-integer shift makes k + s a
+    # whole frequency 2k + 1 of the half angles theta_j / 2, of period 2P.
+    q = 2 if shift % 1 else 1
+    ms = q * np.asarray(ks) + int(q * shift)
+    spectrum = np.conj(np.fft.rfft(base, n=q * _period(kind, n))[ms])
+    sums = np.exp(1j * (float(th[0]) / q) * ms) * spectrum
+    return (sums.real if trig is np.cos else sums.imag).tolist()
+
+
+def _normalise(kind: QuadKind, n: int, ks: Sequence[int], sums: Sequence[float]) -> list[float]:
+    """The coefficients from their node sums: divide out the discrete norms N_k.
+
+    N_k is the rule's norm (_norm), doubled at each degree k < n whose
+    index sum 2k + 2s is a multiple of the period P.  Both scales and the
+    doubled degrees are formed once per call.  The rules with a whole shift
+    s (f1, cc, f2) multiply by 1 / N_k and the half-shift rules (f3, f4)
+    divide by N_k; the two differ in the last bit, and the goldens hold these.
+    """
+    norm, period = _norm(kind, n), _period(kind, n)
+    two_s = int(2 * _ANGLE_FORM[_FAMILY[kind]][0])
+    # each multiple h of P that is the index sum 2k + 2s of some k < n
+    doubled = {(h - two_s) // 2 for h in range(0, 2 * n + two_s, period)
+               if h >= two_s and (h - two_s) % 2 == 0}
+    if two_s % 2:
+        return [v / (2 * norm if k in doubled else norm) for k, v in zip(ks, sums)]
+    once, twice = 1 / norm, 1 / (2 * norm)
+    return [(twice if k in doubled else once) * v for k, v in zip(ks, sums)]
 
 
 def _read_only(values: tuple[float, ...]) -> np.ndarray:

@@ -200,11 +200,26 @@ def test_input_errors_exit_one(capsys):
          "--p-max must be at least 1, got 0"),
         (["study-composite", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "0", "--b", "1",
           "--p-max", "0"], "--p-max must be at least 1, got 0"),
+        # study-quad takes a single value or a range of node counts and of regularities
+        (["study-quad", "--rule", "f1", "--n", "4", "--n-range", "2..4", "--m", "1"],
+         "give exactly one of --n or --n-range"),
+        (["study-quad", "--rule", "f1", "--m", "1"], "give exactly one of --n or --n-range"),
+        (["study-quad", "--rule", "f1", "--n", "4", "--fn", "xm_abs_exp", "--m", "1",
+          "--m-range", "0..2"], "give exactly one of --m or --m-range"),
+        (["study-quad", "--rule", "f1", "--n", "4"], "give exactly one of --m or --m-range"),
+        (["study-quad", "--rule", "f1", "--n-range", "2-4", "--m", "1"],
+         "--n-range must look like LO..HI, got '2-4'"),
+        (["study-decay", "--rule", "f1", "--n", "8", "--m", "1", "--k-range", "1..x"],
+         "--k-range bounds must be integers, got '1..x'"),
+        (["study-quad", "--rule", "f1", "--n", "4", "--m-range", "3..1"],
+         "--m-range upper bound below lower bound in '3..1'"),
     ],
     ids=["non-finite", "overflow", "overflow-coeffs", "unwritable-out",
          "breakpoints-collapse", "m-range-exp", "m-range-poly", "m-exp",
          "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite", "patches-zero",
-         "patches-negative", "p-max-zero-decay", "p-max-zero-quad", "p-max-zero-composite"],
+         "patches-negative", "p-max-zero-decay", "p-max-zero-quad", "p-max-zero-composite",
+         "n-and-n-range", "neither-n", "m-and-m-range", "neither-m", "range-shape",
+         "range-not-integer", "range-reversed"],
 )
 def test_runtime_errors_exit_one_with_one_line(args, says, tmp_path, capsys):
     rc = main([a.format(missing_dir=tmp_path / "missing") for a in args])

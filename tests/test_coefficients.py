@@ -1,5 +1,6 @@
 """Coefficient computation: interpolation property, aliasing, continuous limits."""
 
+import functools
 import math
 
 import numpy as np
@@ -119,9 +120,9 @@ def test_fft_coefficients_match_exact_sums(kind, monkeypatch):
         fvals = coefficients._sample_at_nodes(f, iv, thetas)
         ks = range(n) if n <= TRANSFORM_CUTOFF else sorted({*range(0, n, n // 32), n - 3, n - 2, n - 1})
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", 1)
-        fast = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
+        fast = np.array(rules._coeff_values(kind, thetas, fvals, n, ks))
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", n + 1)
-        exact = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
+        exact = np.array(rules._coeff_values(kind, thetas, fvals, n, ks))
         bound = 0.5 * n * np.finfo(float).eps * np.max(np.abs(fvals))
         assert np.max(np.abs(fast - exact)) <= bound, n
 
@@ -139,12 +140,33 @@ def test_array_rows_match_python_termwise_sums(kind, monkeypatch):
         thetas = rule_thetas(kind, n).tolist()
         fvals = coefficients._sample_at_nodes(f, iv, thetas)
         ks = [0, 1, 2, 7, n // 2, n - 1]
-        rows = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
+        rows = np.array(rules._coeff_values(kind, thetas, fvals, n, ks))
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", n + 1)
-        loop = np.array(coefficients._coeff_values(kind, thetas, fvals, n, ks))
+        loop = np.array(rules._coeff_values(kind, thetas, fvals, n, ks))
         monkeypatch.undo()
         bound = 0.5 * n * np.finfo(float).eps * np.max(np.abs(fvals))
         assert np.max(np.abs(rows - loop)) <= bound, n
+
+
+# every sum path: each rule's termwise sums (n = 8) and FFT (n = TRANSFORM_CUTOFF), and
+# each family's array rows (few degrees of many nodes)
+SUM_PATHS = [
+    *(pytest.param(functools.partial(discrete_coeffs, kind, n=n), id=f"{kind.value}-n{n}")
+      for kind in ALL_KINDS for n in (8, TRANSFORM_CUTOFF)),
+    *(pytest.param(functools.partial(continuous_coeffs, family, k_max=3, n_ref=4096),
+                   id=f"continuous-{family.value}")
+      for family in ChebKind),
+]
+
+
+@pytest.mark.parametrize("coeffs", SUM_PATHS)
+def test_subnormal_coefficients_flush_to_zero(coeffs):
+    """Magnitudes below 1e-300 become exact zeros, on every path; larger ones are kept."""
+    iv = Interval(-0.3, 0.8)
+    tiny = coeffs(SampledFunction(lambda x: 1e-305), iv).values
+    assert tiny == (0.0,) * len(tiny)
+    small = coeffs(SampledFunction(lambda x: 1e-299), iv).values
+    assert small[0] == pytest.approx(1e-299, rel=1e-12)
 
 
 def test_non_finite_sample_names_the_node():

@@ -117,7 +117,7 @@ def test_fft_and_termwise_paths_agree(iv, kind, n):
     for cutoff in (1, n + 1):
         with mock.patch.object(rules_module, "TRANSFORM_CUTOFF", cutoff):
             weights = np.array(rules_module._weights(kind, n, thetas))
-            values = np.array(coefficients._coeff_values(kind, thetas, fvals, n, range(n)))
+            values = np.array(rules_module._coeff_values(kind, thetas, fvals, n, range(n)))
         paths.append((weights, values))
     (fast_w, fast_c), (exact_w, exact_c) = paths
     assert np.max(np.abs(fast_w - exact_w)) <= 2e-16

@@ -5,12 +5,13 @@
                         [--op-rss WORKLOAD]...
 
 The change is the checkout that holds this file, as it stands on disk: its
-tracked and untracked files, ignored ones left out, are copied to a temporary
-directory.  The parent is REV (default HEAD), checked out with ``git
-worktree`` beside it.  Both sides thus run from fresh trees at the same depth
-(run from the checkout itself, the change side read about 0.1 MB more peak
-RSS with identical code), and the directory is removed on exit, also on
-error or interrupt.
+tracked and untracked files, ignored ones left out, written as a git tree
+through a temporary index (their blobs go to the repository's object store,
+as ``git add`` puts them).  The parent is the tree of REV (default HEAD).
+Each side's tree is extracted by ``git archive`` into a temporary directory
+by the same steps, so with identical code the two sides are identical trees
+at the same depth; the record names both tree ids.  The directory is removed
+on exit, also on error or interrupt.
 
 For each workload and seed the tool runs PAIRS pairs (default 10) of
 each tree's own ``bench/run.py --trace 0`` for S seconds (default the
@@ -34,16 +35,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.metadata
+import io
 import json
 import os
 import platform
 import re
 import shlex
-import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -71,19 +73,24 @@ print(json.dumps(steps))
 """
 
 
-def _git(*args: str, cwd: Path = ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+def _git(*args: str, env: dict[str, str] | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def _copy_checkout(dest: Path) -> None:
-    """Copy the checkout's tracked and untracked files, not the ignored ones, to dest."""
-    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
-    for name in filter(None, names):
-        src = ROOT / name
-        if src.is_file():  # a tracked file deleted on disk is left out
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(src, dest / name)
+def _disk_tree(index: Path) -> str:
+    """Tree id of the checkout's tracked and untracked files on disk, not the ignored ones."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    _git("add", "-A", env=env)
+    return _git("write-tree", env=env)
+
+
+def _extract(tree: str, dest: Path) -> None:
+    """Write the files of a git tree to the directory dest."""
+    archive = subprocess.run(["git", "archive", "--format=tar", tree], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -190,7 +197,7 @@ def _workload_pairs(text: str) -> tuple[str, int]:
     return name, int(pairs) if pairs else PAIRS
 
 
-def _host(trees: dict[str, Path]) -> dict:
+def _host(parent: str) -> dict:
     try:
         numpy_version = importlib.metadata.version("numpy")
     except importlib.metadata.PackageNotFoundError:
@@ -200,7 +207,7 @@ def _host(trees: dict[str, Path]) -> dict:
         "platform": platform.platform(), "machine": platform.machine(),
         "cpu_count": os.cpu_count(), "python": platform.python_version(),
         "numpy": numpy_version,
-        "parent_commit": _git("rev-parse", "HEAD", cwd=trees["parent"]),
+        "parent_commit": _git("rev-parse", f"{parent}^{{commit}}"),
         "change_commit": _git("rev-parse", "HEAD"),
         "change_has_uncommitted_edits": dirty,
     }
@@ -210,11 +217,11 @@ def _log(text: str) -> None:
     print(text, file=sys.stderr, flush=True)
 
 
-def measure(args, trees: dict[str, Path]) -> dict:
+def measure(args, trees: dict[str, Path], tree_ids: dict[str, str]) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    record: dict = {"topic": args.topic, "parent_rev": args.parent, "host": _host(trees),
-                    "seconds": seconds, "seeds": args.seed, "runs": []}
+    record: dict = {"topic": args.topic, "parent_rev": args.parent, "host": _host(args.parent),
+                    "tree_ids": tree_ids, "seconds": seconds, "seeds": args.seed, "runs": []}
     for text in args.workload:
         workload, count = _workload_pairs(text)
         for seed in args.seed:
@@ -260,16 +267,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.seed = args.seed or [1]
 
-    # a terminated run still removes its worktree
+    # a terminated run still removes its temporary directory
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
-        _copy_checkout(change)
-        _git("worktree", "add", "--detach", str(parent), args.parent)
-        try:
-            record = measure(args, {"parent": parent, "change": change})
-        finally:
-            _git("worktree", "remove", "--force", str(parent))
+        tree_ids = {"parent": _git("rev-parse", f"{args.parent}^{{tree}}"),
+                    "change": _disk_tree(Path(tmp) / "index")}
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            _extract(tree_ids[side], trees[side])
+        record = measure(args, trees, tree_ids)
     out = ROOT / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     _log(f"wrote {out}")
