@@ -180,7 +180,13 @@ class KindRelationsReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual_second, self.residual_third, self.residual_fourth)
+        return _nan_max((self.residual_second, self.residual_third, self.residual_fourth))
+
+
+def _nan_max(values: Iterable[float]) -> float:
+    """max of values, NaN if any is NaN (Python's max drops a NaN that is not first)."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 # Each ladder identity c^P_k = c^T_k / gamma_k + sign c^T_{k+offset} / 2 of
@@ -197,8 +203,8 @@ def kind_relations_check(
     residuals = []
     for family, offset, sign in _LADDER:
         c = continuous_coeffs(family, f, interval, k_max, n_ref).values
-        residuals.append(max(abs(c[k] - (c1[k] / gamma(k) + sign * 0.5 * c1[k + offset]))
-                             for k in range(k_max + 1)))
+        residuals.append(_nan_max(abs(c[k] - (c1[k] / gamma(k) + sign * 0.5 * c1[k + offset]))
+                                  for k in range(k_max + 1)))
     return KindRelationsReport(*residuals)
 
 

@@ -1,15 +1,15 @@
 """Property suites behind ``localcheb verify``.
 
 ``SUITES`` maps each suite name, in report order, to a callable that runs
-the suite and returns ``(ok, detail)``: whether every case stayed within its
-tolerance, and a one-line summary of the worst case.  Each suite is
-deterministic, so its detail is byte-identical from run to run.
+the suite and returns ``(ok, detail)``: whether every residual is at most
+its case's tolerance (a NaN fails), and the worst case in one line.  Each
+suite is deterministic, so its detail is byte-identical from run to run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,7 +29,20 @@ from .rules import (
 __all__ = ["SUITES"]
 
 
-def _orthogonality() -> tuple[bool, str]:
+def _judge(cases: Iterable[tuple[object, float]], detail: str) -> tuple[bool, str]:
+    """ok iff every residual is <= its case's tol; ``detail`` gets the worst and its tol."""
+    ok, worst, worst_tol = True, 0.0, math.inf
+    for residuals, tol in cases:
+        r = np.asarray(residuals)
+        ok = ok and bool((r <= tol).all())
+        top = float(r.max())
+        # a larger residual, or the first NaN, becomes the worst
+        if not top <= worst and not math.isnan(worst):
+            worst, worst_tol = top, tol
+    return ok, detail.format(worst=worst, tol=worst_tol)
+
+
+def _orthogonality() -> Iterator[tuple[np.ndarray, float]]:
     """Node sums of P_i P_k against their closed forms, all kinds, n <= 16.
 
     All (4n + 4) x n direct sums of one rule come from one elementwise
@@ -37,9 +50,6 @@ def _orthogonality() -> tuple[bool, str]:
     the BLAS thread count; one broadcast call of the closed form referees
     them all.
     """
-    worst = 0.0
-    worst_tol = math.inf
-    ok = True
     for kind in QuadKind:
         family = family_for_rule(kind)
         for n in range(kind.min_nodes, 17):
@@ -49,14 +59,7 @@ def _orthogonality() -> tuple[bool, str]:
             weighted = vals * _node_factors(kind, thetas)
             direct = (weighted[:, None, :] * vals[None, :n, :]).sum(axis=-1)
             closed = closed_form_orthogonality(kind, n, i[:, None], i[:n])
-            tol = 1e-11 * n
-            diff = float(np.abs(direct - closed).max())
-            if diff > worst:
-                worst = diff
-                worst_tol = tol
-            if diff > tol:
-                ok = False
-    return ok, f"max|direct-closed|={worst:.3e} (tol at worst case {worst_tol:.1e})"
+            yield np.abs(direct - closed), 1e-11 * n
 
 
 # The 20 intervals of the exactness suite: sorted pairs of uniform draws on
@@ -88,7 +91,7 @@ _EXACTNESS_INTERVALS = (
 )
 
 
-def _exactness() -> tuple[bool, str]:
+def _exactness() -> Iterator[tuple[np.ndarray, float]]:
     """Each n-point rule integrates degrees <= n-1 exactly on 20 fixed intervals.
 
     The intervals are ``_EXACTNESS_INTERVALS``, the draws of
@@ -107,8 +110,6 @@ def _exactness() -> tuple[bool, str]:
     d1 = np.arange(1, 13)[:, None]
     exact = (pows[..., 1] - pows[..., 0]) / d1
     scale = (pows[..., 2] + pows[..., 3]) / d1
-    worst = 0.0
-    ok = True
     for kind in QuadKind:
         for n in range(kind.min_nodes, 13):
             rule = make_rule(kind, n)
@@ -116,22 +117,17 @@ def _exactness() -> tuple[bool, str]:
             terms = rule.weights * _powers(xs, np.arange(n))
             sums = np.array(list(map(math.fsum, terms.reshape(-1, n).tolist())))
             q = half_h * sums.reshape(n, len(intervals))
-            rel = np.abs(q - exact[:n]) / scale[:n]
-            worst = max(worst, float(rel.max()))
-            if np.any(rel > 1e-12):
-                ok = False
-    return ok, f"max scaled error={worst:.3e} (tol 1e-12)"
+            yield np.abs(q - exact[:n]) / scale[:n], 1e-12
 
 
-def _kind_relations() -> tuple[bool, str]:
+def _kind_relations() -> Iterator[tuple[tuple[float, ...], float]]:
     """Cross-family coefficient identities for e^x on [-0.5, 1]."""
     fn = function_by_id("exp")
-    report = kind_relations_check(fn.sampled(), Interval(-0.5, 1.0), k_max=6, n_ref=8192)
-    ok = report.max_residual < 1e-10
-    return ok, f"max residual={report.max_residual:.3e} (tol 1e-10)"
+    r = kind_relations_check(fn.sampled(), Interval(-0.5, 1.0), k_max=6, n_ref=8192)
+    yield (r.residual_second, r.residual_third, r.residual_fourth), 1e-10
 
 
-def _trig_moments() -> tuple[bool, str]:
+def _trig_moments() -> Iterator[tuple[np.ndarray, float]]:
     """sin^l cos^q x {cos,sin}(k t) moments vanish on [-pi,pi] for l+q < k.
 
     Cases of equal total degree l + q + k share the default trapezoid grid,
@@ -142,20 +138,16 @@ def _trig_moments() -> tuple[bool, str]:
     ell, q, k = ell[vanishing], q[vanishing], k[vanishing]
     total = ell + q + k
     parity = np.array([0, 1])
-    worst = 0.0
-    ok = True
     for degree in sorted(set(total.tolist())):
         group = total == degree
-        moments = np.abs(trig_moment(ell[group, None], q[group, None], k[group, None], parity))
-        worst = max(worst, float(moments.max()))
-        if np.any(moments > 1e-10):
-            ok = False
-    return ok, f"max |moment|={worst:.3e} (tol 1e-10)"
+        yield np.abs(trig_moment(ell[group, None], q[group, None], k[group, None], parity)), 1e-10
 
 
+# each value calls its suite afresh: a generator is spent after one pass
 SUITES: dict[str, Callable[[], tuple[bool, str]]] = {
-    "orthogonality": _orthogonality,
-    "exactness": _exactness,
-    "kind-relations": _kind_relations,
-    "trig-moments": _trig_moments,
+    "orthogonality": lambda: _judge(
+        _orthogonality(), "max|direct-closed|={worst:.3e} (tol at worst case {tol:.1e})"),
+    "exactness": lambda: _judge(_exactness(), "max scaled error={worst:.3e} (tol 1e-12)"),
+    "kind-relations": lambda: _judge(_kind_relations(), "max residual={worst:.3e} (tol 1e-10)"),
+    "trig-moments": lambda: _judge(_trig_moments(), "max |moment|={worst:.3e} (tol 1e-10)"),
 }

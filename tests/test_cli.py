@@ -1,6 +1,7 @@
 """Command-line layer: artifact formats, determinism, exit codes, goldens."""
 
 import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import localcheb.cli as cli
 import localcheb.verify as verify
+from localcheb import ChebKind, coefficients
 from localcheb.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -481,6 +483,39 @@ def test_verify_failure_exits_two(monkeypatch, capsys):
     assert rc == 2
     assert "orthogonality: FAIL (forced failure)" in out
     assert out.strip().splitlines()[-1] == "verify: FAIL"
+
+
+def _nan_first(real):
+    def poisoned(*args):
+        out = np.array(real(*args), dtype=float)
+        out.flat[0] = math.nan
+        return out
+    return poisoned
+
+
+def _nan_in_second_kind_k3(real):
+    # one NaN in the middle of one family: Python's max over k drops it
+    def poisoned(family, *args):
+        cs = real(family, *args)
+        if family is ChebKind.SECOND:
+            cs = dataclasses.replace(cs, values=(*cs.values[:3], math.nan, *cs.values[4:]))
+        return cs
+    return poisoned
+
+
+@pytest.mark.parametrize("suite, module, name, poison", [
+    ("orthogonality", verify, "_family_matrix", _nan_first),
+    ("exactness", verify, "_powers", _nan_first),
+    ("kind-relations", coefficients, "continuous_coeffs", _nan_in_second_kind_k3),
+    ("trig-moments", verify, "trig_moment", _nan_first),
+])
+def test_verify_suite_fails_on_a_nan_residual(suite, module, name, poison, monkeypatch, capsys):
+    monkeypatch.setattr(module, name, poison(getattr(module, name)))
+    ok, detail = verify.SUITES[suite]()
+    assert ok is False
+    assert "nan" in detail
+    assert main(["verify", "--suite", suite]) == 2
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "verify: FAIL"
 
 
 def test_study_quad_merges_regularities(capsys):

@@ -237,6 +237,32 @@ def test_kind_relations_exponential():
     )
 
 
+@pytest.mark.parametrize("field, family", [
+    ("residual_second", ChebKind.SECOND),
+    ("residual_third", ChebKind.THIRD),
+    ("residual_fourth", ChebKind.FOURTH),
+])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_kind_relations_nan_coefficient_gives_nan(field, family, k, monkeypatch):
+    # Python's max drops a NaN unless it comes first, so a NaN at any k must still show
+    real = coefficients.continuous_coeffs
+
+    def with_nan(fam, *args):
+        cs = real(fam, *args)
+        if fam is not family:
+            return cs
+        values = list(cs.values)
+        values[k] = math.nan
+        return CoefficientSet(cs.family, cs.interval, tuple(values), cs.source)
+
+    monkeypatch.setattr(coefficients, "continuous_coeffs", with_nan)
+    report = kind_relations_check(EXP, Interval(-0.5, 1.0), k_max=4, n_ref=4096)
+    assert math.isnan(getattr(report, field))
+    assert math.isnan(report.max_residual)
+    others = [v for name, v in vars(report).items() if name != field]
+    assert all(v < 1e-12 for v in others)
+
+
 def test_kind_relations_polynomial():
     # for a polynomial the ladder identities are exact up to rounding
     def f(x: float) -> float:

@@ -23,9 +23,12 @@ side, right after the benchmark's own imports, and records how far each
 operation raised the peak RSS.
 
 The output holds every run's result line and the tail percentile it names,
-per workload and metric both sides' median and quartiles and the pairs the
-change won in the direction BENCHMARK.json gives, and the host, versions and
-commits.  Exit code 1 if any benchmark run reports ``"correct": false`` or
+per workload and metric both sides' median and quartiles, the pairs the
+change won in the direction BENCHMARK.json gives and whether the pairs resolve
+the gap at all (``resolved``: at least 10 pairs, the change winning or losing
+at least 9 in 10 of them, and a median gap wider than the parent's
+interquartile range; an unresolved gap is noise, not "unchanged"), and the
+host, versions and commits.  Exit code 1 if any benchmark run reports ``"correct": false`` or
 prints no result line.  Stdlib only; it pins no CPU and changes no machine
 setting, so the host's own drift is in every figure.
 """
@@ -166,14 +169,19 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             if not got:
                 continue
             parent, change = _spread([a for a, _ in got]), _spread([b for _, b in got])
+            wins = sum(sign * (b - a) > 0 for a, b in got)
+            losses = sum(sign * (b - a) < 0 for a, b in got)
+            gap, iqr = change["median"] - parent["median"], parent["q3"] - parent["q1"]
             rows[name] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 "parent": parent, "change": change,
                 "pairs": len(got),
-                "change_wins": sum(sign * (b - a) > 0 for a, b in got),
-                "change_losses": sum(sign * (b - a) < 0 for a, b in got),
-                "median_change_frac": (change["median"] - parent["median"]) / parent["median"],
-                "parent_iqr": parent["q3"] - parent["q1"],
+                "change_wins": wins,
+                "change_losses": losses,
+                "median_change_frac": gap / parent["median"],
+                "parent_iqr": iqr,
+                "resolved": (len(got) >= 10 and 10 * max(wins, losses) >= 9 * len(got)
+                             and abs(gap) > iqr),
             }
         summary[workload] = rows
     return summary
