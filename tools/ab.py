@@ -28,9 +28,9 @@ change won in the direction BENCHMARK.json gives and whether the pairs resolve
 the gap at all (``resolved``: at least 10 pairs, the change winning or losing
 at least 9 in 10 of them, and a median gap wider than the parent's
 interquartile range; an unresolved gap is noise, not "unchanged"), and the
-host, versions and commits.  Exit code 1 if any benchmark run reports ``"correct": false`` or
-prints no result line.  Stdlib only; it pins no CPU and changes no machine
-setting, so the host's own drift is in every figure.
+host, versions and commits.  Exit code 1 if any benchmark run reports
+``"correct": false`` or prints no result line.  Stdlib only; it pins no CPU
+and changes no machine setting, so the host's own drift is in every figure.
 """
 
 from __future__ import annotations
