@@ -336,9 +336,13 @@ def _report(study: str, rows: Iterable[DecayRow] | Iterable[QuadRow]) -> StudyRe
     return StudyReport(study, tuple(sorted(rows, key=sort_key)))
 
 
-def _sorted_ints(values: Iterable[Any], name: str, low: float = -math.inf) -> list[int]:
-    """The distinct values in increasing order, each checked by _index against low."""
-    return sorted({_index(v, name, low) for v in values})
+def _sorted_ints(values: Iterable[Any], name: str, low: float = -math.inf,
+                 noun: str | None = None) -> list[int]:
+    """The distinct values in increasing order, each checked by _index; none names noun or name."""
+    out = sorted({_index(v, name, low) for v in values})
+    if not out:
+        raise ValueError(f"need at least one {noun or name}")
+    return out
 
 
 def coefficient_decay_study(
@@ -356,8 +360,6 @@ def coefficient_decay_study(
     """
     n = _check_n(kind, n)
     k_list = _sorted_ints(ks, "coefficient index")
-    if not k_list:
-        raise ValueError("need at least one coefficient index")
     if k_list[0] < 1 or k_list[-1] > n - 1:
         raise ValueError("coefficient indices must lie in 1..n-1")
     family = family_for_rule(kind)
@@ -411,15 +413,15 @@ def quadrature_convergence_study(
     The schedule's intervals, widths and exact integrals are built once per
     call.  Each node count builds its rule once and takes the weighted sums
     on every interval of the schedule in one pass of integrate's patch-sum
-    path; each sum goes through integrate's own reduction, so every value,
-    and the error a non-finite one raises, is integrate's bit for bit.
+    path.  Each sum goes straight to integrate's finiteness check, since the
+    math.fsum of one sum is that sum, so every error, and the message a
+    non-finite sum raises, is integrate's bit for bit.
     """
     exact = f.exact_integral
     if exact is None:
         raise ValueError("quadrature study needs a test function with an exact integral")
-    n_list = _sorted_ints(ns if isinstance(ns, Iterable) else [ns], "node count n")
-    if not n_list:
-        raise ValueError("need at least one node count")
+    n_list = _sorted_ints(ns if isinstance(ns, Iterable) else [ns], "node count n",
+                          noun="node count")
     evaluator = f.sampled().evaluator
     ps = schedule.p_values
     intervals = [ShrinkSchedule.interval(p) for p in ps]
@@ -427,8 +429,7 @@ def quadrature_convergence_study(
     exacts = [exact(iv) for iv in intervals]
     rows: list[QuadRow] = []
     for n in n_list:
-        sums = _patch_sums(make_rule(kind, n), evaluator, intervals)
-        values = [_finite_value(math.fsum([s])) for s in sums]
+        values = map(_finite_value, _patch_sums(make_rule(kind, n), evaluator, intervals))
         rows += _quad_rows(kind, f, n, zip(ps, widths, exacts, values), False)
     return _report("quad", rows)
 
@@ -449,8 +450,6 @@ def composite_convergence_study(
     if f.exact_integral is None:
         raise ValueError("composite study needs a test function with an exact integral")
     ps = _sorted_ints(p_values, "patch count", 1)
-    if not ps:
-        raise ValueError("need at least one patch count")
     exact = f.exact_integral(interval)
     sf = f.sampled()
     steps = ((p, interval.h / p, exact,

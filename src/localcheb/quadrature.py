@@ -13,11 +13,11 @@ The patch sums are streamed: each patch is built and sampled only when the
 sum reaches it, so a composite run holds its breakpoints and one patch,
 and nothing else that grows with the number of patches.  The command line's
 ``quad`` and ``study-composite`` stream their equispaced breakpoints too, so
-their memory does not depend on ``--patches``: one generator gives the
-points of Partition.equispaced, one check proves them strictly increasing,
-and one composite sum reduces them, whether they come from a tuple or are
-streamed.  math.fsum is exact and the points are the same floats, so
-streaming leaves every value bit for bit as it was.
+their memory does not depend on ``--patches``: Partition.equispaced holds
+the streamed partition's points as a tuple, one check proves them strictly
+increasing, and one composite sum reduces them, whether they come from a
+tuple or are streamed.  math.fsum is exact and the points are the same
+floats, so streaming leaves every value bit for bit as it was.
 """
 
 from __future__ import annotations
@@ -60,12 +60,10 @@ class Partition:
         """pieces equal patches of interval, breakpoints a + (b - a) i / pieces.
 
         The ends are exactly a and b, so the invariant holds in floating
-        point.  The partition holds all pieces + 1 breakpoints as a tuple of
-        floats, built in one pass from an iterator, which grows it in place:
-        no list of the breakpoints is held beside it.
+        point.  The tuple holds the points of _StreamedPartition(interval,
+        pieces), which makes the checks, built in one pass from its iterator.
         """
-        pieces = _index(pieces, "pieces", 1)
-        return cls(interval, tuple(_equispaced(interval.a, interval.b, pieces)))
+        return cls(interval, tuple(_StreamedPartition(interval, pieces).breakpoints))
 
     @property
     def pieces(self) -> int:
@@ -73,12 +71,6 @@ class Partition:
 
     def patches(self) -> list[Interval]:
         return [Interval(lo, hi) for lo, hi in itertools.pairwise(self.breakpoints)]
-
-
-def _equispaced(a: float, b: float, pieces: int) -> Iterator[float]:
-    """a, then a + (b - a) * (i / pieces) for 0 < i < pieces, then b exactly."""
-    interior = (a + (b - a) * (i / pieces) for i in range(1, pieces))
-    return itertools.chain((a,), interior, (b,))
 
 
 def _check_increasing(points: Iterable[float]) -> None:
@@ -100,27 +92,29 @@ _STRICT_STEP_ULPS = 8
 
 
 class _StreamedPartition:
-    """Partition.equispaced(interval, pieces) without its tuple of breakpoints.
+    """The breakpoints of Partition.equispaced(interval, pieces), streamed.
 
-    Constructed with the checks of Partition.equispaced, in its order and
-    with its messages, so an invalid partition fails before any sample.
-    Each read of breakpoints streams the same floats afresh, so a composite
-    run over it holds nothing that grows with pieces; integrate_composite
-    reads only pieces and one pass of breakpoints.
+    Partition.equispaced holds these points as a tuple, so the pieces check,
+    the point formula and the strictness check are written only here, and an
+    invalid partition fails before any sample.  Each read of breakpoints
+    streams the same floats afresh, so a composite run over it holds nothing
+    that grows with pieces; integrate_composite reads pieces and one pass.
     """
 
     __slots__ = ("interval", "pieces")
 
     def __init__(self, interval: Interval, pieces: int):
-        pieces = _index(pieces, "pieces", 1)
+        self.interval, self.pieces = interval, _index(pieces, "pieces", 1)
         a, b = interval.a, interval.b
-        if not (b - a) / pieces > _STRICT_STEP_ULPS * math.ulp(max(abs(a), abs(b))):
-            _check_increasing(_equispaced(a, b, pieces))
-        self.interval, self.pieces = interval, pieces
+        if not (b - a) / self.pieces > _STRICT_STEP_ULPS * math.ulp(max(abs(a), abs(b))):
+            _check_increasing(self.breakpoints)
 
     @property
     def breakpoints(self) -> Iterator[float]:
-        return _equispaced(self.interval.a, self.interval.b, self.pieces)
+        """a, then a + (b - a) * (i / pieces) for 0 < i < pieces, then b exactly."""
+        a, b, pieces = self.interval.a, self.interval.b, self.pieces
+        interior = (a + (b - a) * (i / pieces) for i in range(1, pieces))
+        return itertools.chain((a,), interior, (b,))
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,9 @@ def _coeff_values(
     Each node sum but _array_sums' FFT is formed termwise and reduced with
     math.fsum, so it is the correctly rounded sum of its rounded terms.  The
     paper's tables (n <= 16) and the goldens come from the Python-float path
-    below TRANSFORM_CUTOFF nodes, which needs no numpy.
+    below TRANSFORM_CUTOFF nodes, which needs no numpy.  Finite samples can
+    still overflow a term or a sum; every path then raises OverflowError
+    naming the first degree whose coefficient is not finite.
     """
     if n < TRANSFORM_CUTOFF:
         # First-kind rules have D = 1 and a node factor of 1 or 1/2, so f_j
@@ -232,11 +234,22 @@ def _coeff_values(
             base = [f * (trig(shift * th) / shift) for f, th in zip(fvals, thetas)]
         else:
             base = [f * w for f, w in zip(fvals, _node_factors(kind, thetas))]
-        sums = [math.fsum([b * trig((k + shift) * th) for b, th in zip(base, thetas)]) for k in ks]
+        sums = [_fsum([b * trig((k + shift) * th) for b, th in zip(base, thetas)]) for k in ks]
     else:
         sums = _array_sums(kind, thetas, fvals, n, ks)
     out = _normalise(kind, n, ks, sums)
+    if not all(map(math.isfinite, out)):
+        k = next(k for k, v in zip(ks, out) if not math.isfinite(v))
+        raise OverflowError(f"coefficient of degree {k} is not finite")
     return [0.0 if abs(v) < SUBNORMAL_FLUSH else v for v in out]
+
+
+def _fsum(terms: list[float]) -> float:
+    """math.fsum, or NaN where a partial sum overflows or meets inf - inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _array_sums(
@@ -251,22 +264,25 @@ def _array_sums(
     more come from one real FFT in O(n log n).  The FFT and the termwise
     sums agree to within n * eps * max|f|; most of that gap is the termwise
     sums' own rounding of k * theta_j before the cosine.  Both are
-    deterministic, so repeated runs are reproducible to the bit.
+    deterministic, so repeated runs are reproducible to the bit.  An
+    overflow leaves a sum non-finite, for _coeff_values to report, and
+    warns nothing.
     """
     import numpy as np
 
     shift, trig = _ANGLE_FORM[_FAMILY[kind]]
     trig = getattr(np, trig.__name__)
     th, fv = np.array(thetas), np.array(fvals)
-    base = fv * (trig(shift * th) / shift if shift else np.array(_node_factors(kind, thetas)))
-    if len(ks) < TRANSFORM_CUTOFF:
-        return [math.fsum((base * trig((k + shift) * th)).tolist()) for k in ks]
-    # theta_j = theta_0 + 2 pi j / P.  A half-integer shift makes k + s a
-    # whole frequency 2k + 1 of the half angles theta_j / 2, of period 2P.
-    q = 2 if shift % 1 else 1
-    ms = q * np.asarray(ks) + int(q * shift)
-    spectrum = np.conj(np.fft.rfft(base, n=q * _period(kind, n))[ms])
-    sums = np.exp(1j * (float(th[0]) / q) * ms) * spectrum
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = fv * (trig(shift * th) / shift if shift else np.array(_node_factors(kind, thetas)))
+        if len(ks) < TRANSFORM_CUTOFF:
+            return [_fsum((base * trig((k + shift) * th)).tolist()) for k in ks]
+        # theta_j = theta_0 + 2 pi j / P.  A half-integer shift makes k + s a
+        # whole frequency 2k + 1 of the half angles theta_j / 2, of period 2P.
+        q = 2 if shift % 1 else 1
+        ms = q * np.asarray(ks) + int(q * shift)
+        spectrum = np.conj(np.fft.rfft(base, n=q * _period(kind, n))[ms])
+        sums = np.exp(1j * (float(th[0]) / q) * ms) * spectrum
     return (sums.real if trig is np.cos else sums.imag).tolist()
 
 

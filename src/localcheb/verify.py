@@ -2,8 +2,10 @@
 
 ``SUITES`` maps each suite name, in report order, to a callable that runs
 the suite and returns ``(ok, detail)``: whether every residual is at most
-its case's tolerance (a NaN fails), and the worst case in one line.  Each
-suite is deterministic, so its detail is byte-identical from run to run.
+its case's tolerance (a NaN fails), and the worst case in one line.  A
+suite that raises a ValueError or an ArithmeticError fails with the error
+as its detail, so the suites after it still run.  Each suite is
+deterministic, so its detail is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -30,15 +32,22 @@ __all__ = ["SUITES"]
 
 
 def _judge(cases: Iterable[tuple[object, float]], detail: str) -> tuple[bool, str]:
-    """ok iff every residual is <= its case's tol; ``detail`` gets the worst and its tol."""
+    """ok iff every residual is <= its case's tol; ``detail`` gets the worst and its tol.
+
+    A ValueError or ArithmeticError raised while the cases are drawn fails
+    the suite with detail "error: <message>"; any other exception propagates.
+    """
     ok, worst, worst_tol = True, 0.0, math.inf
-    for residuals, tol in cases:
-        r = np.asarray(residuals)
-        ok = ok and bool((r <= tol).all())
-        top = float(r.max())
-        # a larger residual, or the first NaN, becomes the worst
-        if not top <= worst and not math.isnan(worst):
-            worst, worst_tol = top, tol
+    try:
+        for residuals, tol in cases:
+            r = np.asarray(residuals)
+            ok = ok and bool((r <= tol).all())
+            top = float(r.max())
+            # a larger residual, or the first NaN, becomes the worst
+            if not top <= worst and not math.isnan(worst):
+                worst, worst_tol = top, tol
+    except (ValueError, ArithmeticError) as exc:
+        return False, f"error: {exc}"
     return ok, detail.format(worst=worst, tol=worst_tol)
 
 

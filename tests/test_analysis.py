@@ -266,6 +266,26 @@ def test_quad_study_needs_exact_integral():
         quadrature_convergence_study(QuadKind.FEJER_I, bare, 4, ShrinkSchedule.doubling(2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: coefficient_decay_study(QuadKind.FEJER_I, exp_fn(), 8, [], _SCHED),
+     "need at least one coefficient index"),
+    (lambda: quadrature_convergence_study(QuadKind.FEJER_I, exp_fn(), [], _SCHED),
+     "need at least one node count"),
+    (lambda: composite_convergence_study(QuadKind.FEJER_I, exp_fn(), 4, _IV, []),
+     "need at least one patch count"),
+    (lambda: quadrature_convergence_study(QuadKind.FEJER_I, TestFunction("bare", None, math.exp),
+                                          [], _SCHED),
+     "quadrature study needs a test function with an exact integral"),
+    (lambda: composite_convergence_study(QuadKind.FEJER_I, TestFunction("bare", None, math.exp),
+                                         4, _IV, []),
+     "composite study needs a test function with an exact integral"),
+], ids=["decay-empty", "quad-empty", "composite-empty", "quad-no-exact", "composite-no-exact"])
+def test_study_input_errors_name_what_is_missing(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_composite_study_non_dyadic_refinement():
     """Patch-count ratios other than 2 must report the same order."""
     iv = Interval(-0.5, 1.0)

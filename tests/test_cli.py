@@ -171,6 +171,15 @@ def test_input_errors_exit_one(capsys):
          "numeric overflow evaluating exp on [700.0, 800.0] (math range error)"),
         (["coeffs", "--rule", "f1", "--n", "4", "--fn", "exp", "--a", "0", "--b", "1e308"],
          "numeric overflow evaluating exp on [0.0, 1e+308] (math range error)"),
+        # finite samples whose FFT overflows once printed inf and nan rows with exit 0
+        (["coeffs", "--rule", "f1", "--n", "64", "--fn", "poly:1.7e308", "--a", "0", "--b", "1"],
+         "numeric overflow evaluating poly:1.7e308 on [0.0, 1.0] (coefficient of degree 0 is not "
+         "finite)"),
+        (["coeffs", "--rule", "f1", "--n", "64", "--fn", "poly:1.7e308", "--a", "0", "--b", "1",
+          "--json"], "numeric overflow evaluating poly:1.7e308 on [0.0, 1.0] (coefficient of degree "
+         "0 is not finite)"),
+        (["study-decay", "--rule", "f1", "--n", "64", "--fn", "poly:1.7e308", "--p-max", "2"],
+         "numeric overflow evaluating poly:1.7e308 (coefficient of degree 0 is not finite)"),
         (["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
          "No such file or directory"),
         # neighbouring breakpoints of 64 patches round together; refused before any sample
@@ -216,7 +225,8 @@ def test_input_errors_exit_one(capsys):
         (["study-quad", "--rule", "f1", "--n", "4", "--m-range", "3..1"],
          "--m-range upper bound below lower bound in '3..1'"),
     ],
-    ids=["non-finite", "overflow", "overflow-coeffs", "unwritable-out",
+    ids=["non-finite", "overflow", "overflow-coeffs", "overflow-coeffs-fft",
+         "overflow-coeffs-fft-json", "overflow-decay-fft", "unwritable-out",
          "breakpoints-collapse", "m-range-exp", "m-range-poly", "m-exp",
          "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite", "patches-zero",
          "patches-negative", "p-max-zero-decay", "p-max-zero-quad", "p-max-zero-composite",
@@ -483,6 +493,19 @@ def test_verify_failure_exits_two(monkeypatch, capsys):
     assert rc == 2
     assert "orthogonality: FAIL (forced failure)" in out
     assert out.strip().splitlines()[-1] == "verify: FAIL"
+
+
+def test_verify_reports_a_raising_suite_and_runs_the_rest(monkeypatch, capsys):
+    def broken(kind, n):
+        raise ValueError("no rule today")
+
+    monkeypatch.setattr(verify, "make_rule", broken)
+    rc = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    golden = (GOLDEN_DIR / "verify.txt").read_text().splitlines()
+    assert rc == 2
+    assert lines == [golden[0], "exactness: FAIL (error: no rule today)", *golden[2:4],
+                     "verify: FAIL"]
 
 
 def _nan_first(real):

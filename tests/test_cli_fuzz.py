@@ -9,9 +9,10 @@ and for xm_abs_exp --m or --m-range), and plain values, so most of its
 examples succeed.  Sizes are capped (n <= 64, --patches and --p-max <= 256)
 so that no example builds a large rule, verify runs only its trig-moments
 suite, and --out is never given.  Every example must end with exit code 0
-or 1, raise nothing else out of main, and print strict JSON whenever --json
-succeeds; each subcommand must succeed in at least its pinned number of
-examples, so the checks after exit 0 keep seeing output.
+or 1, raise nothing else out of main, print strict JSON whenever --json
+succeeds, and write only finite numbers in the value columns of the CSV of
+coeffs and nodes; each subcommand must succeed in at least its pinned number
+of examples, so the checks after exit 0 keep seeing output.
 
 Derandomized, so every run draws the same examples and tier-1 stays
 deterministic.
@@ -20,6 +21,7 @@ deterministic.
 import contextlib
 import io
 import json
+import math
 from collections import Counter
 
 from hypothesis import given, settings
@@ -149,6 +151,10 @@ def test_cli_argv_fuzz_exits_zero_or_one():
         # quad writes JSON with or without the flag
         if code == 0 and ("--json" in argv or argv[0] == "quad"):
             json.loads(out.getvalue(), parse_constant=_refuse_constant)
+        # every column of these CSVs but the leading index holds a value
+        if code == 0 and argv[0] in ("coeffs", "nodes") and "--json" not in argv:
+            rows = [line.split(",")[1:] for line in out.getvalue().splitlines()[1:]]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row), argv
         if code == 0:
             successes[argv[0] + (" --json" if "--json" in argv else "")] += 1
 

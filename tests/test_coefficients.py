@@ -20,6 +20,7 @@ from localcheb import (
     continuous_coeffs,
     discrete_coeffs,
     eval_cheb,
+    interpolant_eval,
     kind_relations_check,
     midpoint_limit_check,
     rule_thetas,
@@ -261,6 +262,30 @@ def test_kind_relations_nan_coefficient_gives_nan(field, family, k, monkeypatch)
     assert math.isnan(report.max_residual)
     others = [v for name, v in vars(report).items() if name != field]
     assert all(v < 1e-12 for v in others)
+
+
+# finite samples whose weighted terms overflow: each path once returned inf
+# or nan coefficients, or let math.fsum's "-inf + inf" ValueError out
+_HUGE_NEAR_1 = SampledFunction(lambda x: 1e308 if x > 0.99 else 1.0)
+_HUGE_BOTH_SIGNS = SampledFunction(lambda x: 1e308 if x > 0.95 else (-1e308 if x > 0.85 else 1.0))
+_UNIT = Interval(0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: discrete_coeffs(QuadKind.FEJER_III, _HUGE_NEAR_1, _UNIT, 8),
+    lambda: discrete_coeffs(QuadKind.FEJER_III, _HUGE_BOTH_SIGNS, _UNIT, 8),
+    lambda: continuous_coeffs(ChebKind.THIRD, _HUGE_NEAR_1, _UNIT, 6, 4096),
+    lambda: continuous_coeffs(
+        ChebKind.THIRD, SampledFunction(lambda x: 1e308 if x > 0.999 else (-1e308 if x > 0.99 else 1.0)),
+        _UNIT, 6, 4096),
+    lambda: interpolant_eval(QuadKind.FEJER_II, SampledFunction(lambda x: 1e308), _UNIT, 64, [0.5]),
+    lambda: discrete_coeffs(QuadKind.FEJER_I, SampledFunction(lambda x: 1.7e308), _UNIT, 64),
+], ids=["termwise-inf", "termwise-inf-minus-inf", "array-termwise-inf",
+        "array-termwise-inf-minus-inf", "fft-interpolant", "fft-discrete"])
+def test_overflowing_coefficients_raise_overflow_error(call):
+    # numpy's overflow warnings are errors under the test settings, so none may leak either
+    with pytest.raises(OverflowError, match=r"^coefficient of degree 0 is not finite$"):
+        call()
 
 
 def test_kind_relations_polynomial():

@@ -156,7 +156,7 @@ def test_strictness_bound_skips_the_pass_only_where_it_holds(a, pieces, monkeypa
         assert len(passes) == (0 if clears else 1)
         assert got == _outcome(Partition.equispaced, iv, pieces)
         if clears:  # the bound's claim: the points are strictly increasing all the same
-            full_pass(quadrature._equispaced(iv.a, iv.b, pieces))
+            full_pass(_StreamedPartition(iv, pieces).breakpoints)
     assert sides == {False, True}
 
 
