@@ -16,18 +16,25 @@ Each study kind ("decay", "quad") is described once, in one schema: its CSV
 header, the cells of one row and the order of the rows.  The CSV writer,
 every study and merge_reports read that schema.  Both quadrature studies
 build their rows through one helper from (p, h, exact, value) steps.
+
+A study pays for its numbers, not for its bookkeeping.  Rows are
+``typing.NamedTuple``s (immutable, with a dataclass-style repr; ``_replace``
+and ``_asdict`` copy and unpack them).  The CSV writer forms each row's line
+as one f-string.  The decay study computes each k's tdr once, and prepares
+its rule's analysis table once and applies it to the samples of every
+interval of the schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .coefficients import SampledFunction, discrete_coeffs
+from .coefficients import SampledFunction, _rule_coeffs
 from .polynomials import ChebKind, Interval, _index
 from .quadrature import _StreamedPartition, _finite_value, _patch_sums, integrate_composite
-from .rules import QuadKind, _check_n, family_for_rule, make_rule
+from .rules import QuadKind, _analysis, _check_n, family_for_rule, make_rule
 
 __all__ = [
     "DecayRow",
@@ -254,8 +261,7 @@ def theoretical_order(
     return float(min(base, _index(m, "m") + 2))
 
 
-@dataclass(frozen=True)
-class DecayRow:
+class DecayRow(NamedTuple):
     family: ChebKind
     rule: QuadKind
     m: int | None
@@ -268,8 +274,7 @@ class DecayRow:
     floored: bool
 
 
-@dataclass(frozen=True)
-class QuadRow:
+class QuadRow(NamedTuple):
     rule: QuadKind
     m: int | None
     n: int
@@ -288,20 +293,22 @@ def _fmt(x: float | int | None) -> str:
     return "" if x is None or math.isnan(x) else "%.17g" % x
 
 
-def _decay_cells(r: DecayRow) -> list[str]:
-    ndr = None if r.floored else r.ndr
-    return [r.family.value, r.rule.value, _fmt(r.m), str(r.k), str(r.p),
-            _fmt(r.h), _fmt(r.coeff_abs), _fmt(ndr), _fmt(r.tdr)]
+# The cells of one row as one line; "_value_" is the enum member's value,
+# read without the property.
+def _decay_cells(r: DecayRow) -> str:
+    family, rule, m, k, p, h, coeff_abs, ndr, tdr, floored = r
+    return (f"{family._value_},{rule._value_},{_fmt(m)},{k},{p},{_fmt(h)},"
+            f"{_fmt(coeff_abs)},{'' if floored else _fmt(ndr)},{_fmt(tdr)}")
 
 
-def _quad_cells(r: QuadRow) -> list[str]:
-    noc = None if r.floored else r.noc
-    return [r.rule.value, _fmt(r.m), str(r.n), str(r.p), _fmt(r.h),
-            _fmt(r.error), _fmt(noc), _fmt(r.toc), "1" if r.floored else "0"]
+def _quad_cells(r: QuadRow) -> str:
+    rule, m, n, p, h, error, noc, toc, floored = r
+    return (f"{rule._value_},{_fmt(m)},{n},{p},{_fmt(h)},{_fmt(error)},"
+            f"{'' if floored else _fmt(noc)},{_fmt(toc)},{1 if floored else 0}")
 
 
-# each study kind's schema: row class, CSV header, row -> cells map, row sort key
-_SCHEMAS: dict[str, tuple[type, str, Callable[[Any], list[str]], Callable[[Any], tuple]]] = {
+# each study kind's schema: row class, CSV header, row -> line map, row sort key
+_SCHEMAS: dict[str, tuple[type, str, Callable[[Any], str], Callable[[Any], tuple]]] = {
     "decay": (DecayRow, "family,rule,m,k,p,h,coeff_abs,ndr,tdr", _decay_cells,
               lambda r: (r.p, r.k)),
     "quad": (QuadRow, "rule,m,n,p,h,error,noc,toc,floor_flag", _quad_cells,
@@ -327,7 +334,7 @@ class StudyReport:
 
     def to_csv(self) -> str:
         _, header, cells, _ = _SCHEMAS[self.study]
-        return "\n".join([header, *map(",".join, map(cells, self.rows))]) + "\n"
+        return "\n".join([header, *map(cells, self.rows)]) + "\n"
 
 
 def _report(study: str, rows: Iterable[DecayRow] | Iterable[QuadRow]) -> StudyReport:
@@ -357,6 +364,8 @@ def coefficient_decay_study(
     The floor on each step is COEFF_FLOOR_SCALE * (1 + |c~_0|) of that step,
     since c~_0 tracks the local function magnitude.  A rate is recorded only
     when the current and previous magnitudes are both above their floors.
+    The rule's analysis table is prepared once and applied on every step,
+    so each coefficient is discrete_coeffs' bit for bit.
     """
     n = _check_n(kind, n)
     k_list = _sorted_ints(ks, "coefficient index")
@@ -364,19 +373,20 @@ def coefficient_decay_study(
         raise ValueError("coefficient indices must lie in 1..n-1")
     family = family_for_rule(kind)
     sf = f.sampled()
+    table = _analysis(kind, n, range(n))
+    tdrs = [theoretical_decay_rate(k, f.m) for k in k_list]
     rows: list[DecayRow] = []
     prev: dict[int, tuple[float, float, bool]] = {}
     for p in schedule.p_values:
         iv = ShrinkSchedule.interval(p)
         h = ShrinkSchedule.h(p)
-        cs = discrete_coeffs(kind, sf, iv, n)
-        floor = COEFF_FLOOR_SCALE * (1.0 + abs(cs.values[0]))
-        for k in k_list:
-            mag = abs(cs.values[k])
+        values = _rule_coeffs(table, sf, iv)
+        floor = COEFF_FLOOR_SCALE * (1.0 + abs(values[0]))
+        for k, tdr in zip(k_list, tdrs):
+            mag = abs(values[k])
             floored = mag < floor
             ndr = _rated(prev.get(k), mag, h, floored)
-            rows.append(DecayRow(family, kind, f.m, k, p, h, mag, ndr,
-                                 theoretical_decay_rate(k, f.m), floored))
+            rows.append(DecayRow(family, kind, f.m, k, p, h, mag, ndr, tdr, floored))
             prev[k] = (mag, h, floored)
     return _report("decay", rows)
 

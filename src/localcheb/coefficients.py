@@ -7,9 +7,13 @@ orthogonality norms so that the truncated series interpolates there.
 Continuous (integral) coefficients are obtained operationally as discrete
 coefficients at a much finer node set of the matching rule; for that reason
 they carry their resolution in the ``source`` tag.  Both go through one
-sampling path: the rule's angles, one evaluation per node, and the analysis
-transform of rules.py.  Below TRANSFORM_CUTOFF nodes the samples and the
-coefficients are Python floats, so the paper's sizes import no numpy.
+sampling path: the rule's analysis table from rules.py (its angles and, at
+small n, the node factors and trigonometric rows), one evaluation per node,
+and the analysis transform applied to those samples.
+midpoint_limit_check and the decay study of analysis.py prepare the table
+once and apply it on every interval.  Below TRANSFORM_CUTOFF nodes the
+samples and the coefficients are Python floats, so the paper's sizes import
+no numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .polynomials import ChebKind, Interval, _index, _recurrence, affine_map, clamp_reference, gamma
-from .rules import _FAMILY, QuadKind, _angles, _check_n, _coeff_values, family_for_rule
+from .rules import _FAMILY, QuadKind, _analysis, _Analysis, _check_n, _coeff_values, family_for_rule
 
 __all__ = [
     "CoefficientSet",
@@ -114,12 +118,9 @@ def _sample_at_nodes(
     return fvals
 
 
-def _rule_coeffs(
-    kind: QuadKind, f: SampledFunction, interval: Interval, n: int, ks: Sequence[int]
-) -> tuple[float, ...]:
-    """Coefficients of degrees ks from f sampled once at each node of the n-point rule."""
-    thetas = _angles(kind, n)
-    return tuple(_coeff_values(kind, thetas, _sample_at_nodes(f, interval, thetas), n, ks))
+def _rule_coeffs(table: _Analysis, f: SampledFunction, interval: Interval) -> tuple[float, ...]:
+    """Coefficients of the table's degrees from f sampled once at each of its nodes on interval."""
+    return tuple(_coeff_values(table, _sample_at_nodes(f, interval, table.thetas)))
 
 
 def discrete_coeffs(
@@ -135,7 +136,7 @@ def discrete_coeffs(
     return CoefficientSet(
         family=family_for_rule(kind),
         interval=interval,
-        values=_rule_coeffs(kind, f, interval, n, range(n)),
+        values=_rule_coeffs(_analysis(kind, n, range(n)), f, interval),
         source=DiscreteRuleSource(kind, n),
     )
 
@@ -159,7 +160,7 @@ def continuous_coeffs(
     return CoefficientSet(
         family=family,
         interval=interval,
-        values=_rule_coeffs(kind, f, interval, n_ref, range(k_max + 1)),
+        values=_rule_coeffs(_analysis(kind, n_ref, range(k_max + 1)), f, interval),
         source=ContinuousOracleSource(n_ref),
     )
 
@@ -227,12 +228,14 @@ def midpoint_limit_check(
 
     For a function continuous at the common midpoint of a shrinking family of
     intervals, both returned columns must fall to zero as the intervals
-    collapse.
+    collapse.  The rule's analysis table is prepared once for all intervals.
     """
+    n = _check_n(kind, n)
+    table = _analysis(kind, n, range(n))
     rows = []
     for iv in intervals:
-        cs = discrete_coeffs(kind, f, iv, n)
-        gap = abs(cs.values[0] - float(f.evaluator(iv.midpoint)))
-        tail = max((abs(v) for v in cs.values[1:]), default=0.0)
+        values = _rule_coeffs(table, f, iv)
+        gap = abs(values[0] - float(f.evaluator(iv.midpoint)))
+        tail = max((abs(v) for v in values[1:]), default=0.0)
         rows.append(MidpointGap(iv, gap, tail))
     return tuple(rows)

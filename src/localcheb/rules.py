@@ -22,12 +22,15 @@ table gives the weighted samples b_j = f_j w(t_j) / D(theta_j) and, from the
 family's angle form, the shift s and cos or sin; coefficient k is sum_j b_j
 trig((k + s) theta_j) over the rule's discrete norm N_k.  The U, V and W
 node factors equal D^2 / s, so b_j = f_j D(theta_j) / s: the quotient
-cancels and no node ever divides by a small cosine or sine.  The table and
-its math.fsum sums are Python floats below TRANSFORM_CUTOFF nodes and numpy
-arrays from it on, where TRANSFORM_CUTOFF degrees or more come from one real
-FFT instead.  numpy is imported only by the FFTs, the array paths and
-accessors and the orthogonality helpers, so a small rule or coefficient set
-costs no numpy import.
+cancels and no node ever divides by a small cosine or sine.  The table is
+prepared from (rule, n, degrees) alone (``_analysis``) and then applied to
+the samples (``_coeff_values``), so a study that takes coefficients on many
+intervals computes its n^2 cosines once.  The table and its math.fsum sums
+are Python floats below TRANSFORM_CUTOFF nodes and numpy arrays from it on,
+where TRANSFORM_CUTOFF degrees or more come from one real FFT instead.
+numpy is imported only by the FFTs, the array paths and accessors and the
+orthogonality helpers, so a small rule or coefficient set costs no numpy
+import.
 
 Each family's angle form P_k(cos theta) = trig((k + s) theta) / trig(s theta)
 is one row (s, trig) of a second table, and ``_norm`` gives each rule's
@@ -45,7 +48,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .polynomials import ChebKind, _index, _is_array, _recurrence, clamp_reference
 
@@ -213,10 +216,46 @@ def _weights(kind: QuadKind, n: int, thetas: Sequence[float]) -> list[float]:
 SUBNORMAL_FLUSH = 1e-300
 
 
-def _coeff_values(
-    kind: QuadKind, thetas: Sequence[float], fvals: Sequence[float], n: int, ks: Sequence[int]
-) -> list[float]:
-    """Discrete coefficients of degrees ks from samples fvals at the n-point rule's angles.
+class _Analysis(NamedTuple):
+    """What the coefficients of degrees ks from the n-point rule need before any sample.
+
+    The samples are taken at the cosines of thetas.  Below TRANSFORM_CUTOFF
+    nodes, factors holds each node's factor and rows[i] the values
+    trig((ks[i] + s) theta_j); from the cutoff on both are None and
+    _array_sums forms them as arrays.  A study that takes coefficients on
+    many intervals prepares this once and applies it to each interval's
+    samples; nothing keeps it beyond its caller.
+    """
+
+    kind: QuadKind
+    n: int
+    ks: Sequence[int]
+    thetas: list[float]
+    factors: list[float] | None
+    rows: list[list[float]] | None
+
+
+def _analysis(kind: QuadKind, n: int, ks: Sequence[int]) -> _Analysis:
+    """The analysis table of the n-point rule for degrees ks, for an n that _check_n passed.
+
+    First-kind rules have D = 1 and a node factor of 1 or 1/2, so f_j times
+    it is exact; the other families have w = D^2 / s, so b_j = f_j D / s with
+    D = trig(s theta), and dividing by s = 1 or 1/2 is exact.
+    """
+    thetas = _angles(kind, n)
+    factors = rows = None
+    if n < TRANSFORM_CUTOFF:
+        shift, trig = _ANGLE_FORM[_FAMILY[kind]]
+        if shift:
+            factors = [trig(shift * th) / shift for th in thetas]
+        else:
+            factors = _node_factors(kind, thetas)
+        rows = [[trig((k + shift) * th) for th in thetas] for k in ks]
+    return _Analysis(kind, n, ks, thetas, factors, rows)
+
+
+def _coeff_values(table: _Analysis, fvals: Sequence[float]) -> list[float]:
+    """Discrete coefficients of the table's degrees from samples fvals at its nodes cos(theta_j).
 
     Each node sum but _array_sums' FFT is formed termwise and reduced with
     math.fsum, so it is the correctly rounded sum of its rounded terms.  The
@@ -225,18 +264,12 @@ def _coeff_values(
     still overflow a term or a sum; every path then raises OverflowError
     naming the first degree whose coefficient is not finite.
     """
-    if n < TRANSFORM_CUTOFF:
-        # First-kind rules have D = 1 and a node factor of 1 or 1/2, so f_j
-        # times it is exact; the other families have w = D^2 / s, so b_j =
-        # f_j D / s with D = trig(s theta), and dividing by s = 1 or 1/2 is exact.
-        shift, trig = _ANGLE_FORM[_FAMILY[kind]]
-        if shift:
-            base = [f * (trig(shift * th) / shift) for f, th in zip(fvals, thetas)]
-        else:
-            base = [f * w for f, w in zip(fvals, _node_factors(kind, thetas))]
-        sums = [_fsum([b * trig((k + shift) * th) for b, th in zip(base, thetas)]) for k in ks]
-    else:
+    kind, n, ks, thetas, factors, rows = table
+    if rows is None:
         sums = _array_sums(kind, thetas, fvals, n, ks)
+    else:
+        base = [f * w for f, w in zip(fvals, factors)]
+        sums = [_fsum([b * t for b, t in zip(base, row)]) for row in rows]
     out = _normalise(kind, n, ks, sums)
     if not all(map(math.isfinite, out)):
         k = next(k for k, v in zip(ks, out) if not math.isfinite(v))

@@ -167,3 +167,32 @@ def quad_study_reference(kind, f, ns, schedule):
             steps.append((p, ShrinkSchedule.h(p), f.exact_integral(iv), integrate(kind, sf, iv, n).value))
         rows += _quad_rows(kind, f, n, steps, False)
     return _report("quad", rows)
+
+
+def _csv_cell(x) -> str:
+    """One study cell: "" for None and NaN, str of an int, else format(x, ".17g")."""
+    if x is None:
+        return ""
+    if isinstance(x, int):
+        return str(x)
+    return "" if math.isnan(x) else format(x, ".17g")
+
+
+def study_csv_reference(report) -> str:
+    """A study report's CSV, one format call per cell, each row's cells joined by commas.
+
+    A floored row leaves its rate cell (ndr or noc) empty; the quadrature
+    table writes the floor as floor_flag 1 or 0.
+    """
+    if report.study == "decay":
+        header = "family,rule,m,k,p,h,coeff_abs,ndr,tdr"
+        rows = [[r.family.value, r.rule.value, _csv_cell(r.m), str(r.k), str(r.p), _csv_cell(r.h),
+                 _csv_cell(r.coeff_abs), _csv_cell(None if r.floored else r.ndr), _csv_cell(r.tdr)]
+                for r in report.rows]
+    else:
+        header = "rule,m,n,p,h,error,noc,toc,floor_flag"
+        rows = [[r.rule.value, _csv_cell(r.m), str(r.n), str(r.p), _csv_cell(r.h),
+                 _csv_cell(r.error), _csv_cell(None if r.floored else r.noc), _csv_cell(r.toc),
+                 "1" if r.floored else "0"]
+                for r in report.rows]
+    return "".join(line + "\n" for line in [header, *map(",".join, rows)])

@@ -49,3 +49,36 @@ def test_summarise_reads_the_identical_trees_setup_gap_as_unresolved():
     # the flag is the only field added to the stored summary
     assert {name: {k: v for k, v in row.items() if k != "resolved"}
             for name, row in rows.items()} == record["summary"]["many-patches"]
+
+
+def test_op_time_takes_each_ops_minimum_over_alternating_fresh_runs(monkeypatch):
+    # synthetic rounds of four ops: each process times "b" faster on the change side
+    seconds = {"parent": {"a": 0.001, "b": 0.004, "c": 0.010, "d": 0.020},
+               "change": {"a": 0.001, "b": 0.002, "c": 0.010, "d": 0.020}}
+    calls = []
+
+    def fake_script(tree, script, workload, seed):
+        assert script == ab._OP_TIME_SCRIPT and (workload, seed) == ("w", 3)
+        calls.append(tree)
+        slow = 1.0 + 0.1 * len(calls)  # later processes run slower: the minimum is the first
+        return [[name, s * slow] for name, s in seconds[tree].items()]
+
+    monkeypatch.setattr(ab, "_op_script", fake_script)
+    record = ab.op_time({side: side for side in ab.SIDES}, "w", 3)
+    assert calls[:4] == ["parent", "change", "change", "parent"]
+    assert len(calls) == 2 * ab.OP_TIME_REPEATS
+    assert (record["seed"], record["repeats"]) == (3, ab.OP_TIME_REPEATS)
+    rows = {row["op"]: row for row in record["ops"]}
+    assert [row["op"] for row in record["ops"]] == ["d", "c", "b", "a"]  # slowest parent op first
+    assert rows["b"]["parent_ms"] == pytest.approx(4.0 * 1.1)
+    assert rows["b"]["change_ms"] == pytest.approx(2.0 * 1.2)
+    assert rows["b"]["change_frac"] == pytest.approx(2.4 / 4.4 - 1.0)
+    # the nearest-rank median of four ops is the second fastest, as bench/run.py takes p50
+    assert record["median_op"]["parent"] == {"op": "b", "ms": pytest.approx(4.4)}
+    assert record["median_op"]["change"]["op"] == "b"
+
+
+def test_op_time_refuses_rounds_of_different_ops():
+    runs = {"parent": [[["a", 0.1], ["b", 0.2]]], "change": [[["a", 0.1], ["c", 0.2]]]}
+    with pytest.raises(ValueError, match="change ran a different round of ops"):
+        ab.summarise_op_times(runs)

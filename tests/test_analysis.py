@@ -1,5 +1,6 @@
 """Study harness: schedules, rate estimators, report structure, floors."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from scipy.integrate import quad as scipy_quad
 
 from localcheb import (
     ChebKind,
+    DecayRow,
     Interval,
     Partition,
     QuadKind,
@@ -20,6 +22,7 @@ from localcheb import (
     coefficient_decay_study,
     composite_convergence_study,
     continuous_coeffs,
+    discrete_coeffs,
     exp_fn,
     integrate,
     merge_reports,
@@ -28,6 +31,7 @@ from localcheb import (
     quadrature_convergence_study,
     rate,
     function_by_id,
+    midpoint_limit_check,
     theoretical_decay_rate,
     theoretical_order,
     trig_moment,
@@ -375,6 +379,79 @@ def test_study_report_refuses_rows_of_another_kind():
     with pytest.raises(TypeError, match="decay study rows must be DecayRow, got QuadRow"):
         StudyReport("decay", (row,))
     assert StudyReport("quad", (row,)).to_csv().count("\n") == 2
+
+
+_T, _F1, _CC, _F4 = ChebKind.FIRST, QuadKind.FEJER_I, QuadKind.CLENSHAW_CURTIS, QuadKind.FEJER_IV
+# hand-built rows with every kind of cell: None, NaN, infinities, signed zeros, ints and
+# numpy float64 where floats go, a subnormal, and floored rows, whose rate cell stays empty
+_DECAY_ROWS = (
+    DecayRow(_T, _F1, None, 1, 1, 1.5, 0.25, None, 1.0, False),
+    DecayRow(_T, _F1, 3, 2, 2, 0.75, np.float64(1e-17), 2.5, 2.0, True),
+    DecayRow(_T, _CC, 0, 3, 2, 0.75, 0.0, math.nan, 1, False),
+    DecayRow(_T, _CC, 0, 3, 4, -0.0, -0.0, -0.0, 0.0, False),
+    DecayRow(_T, _CC, 0, 3, 4, 0.0, 0.0, 0.0, -0.0, False),
+    DecayRow(_T, _F1, 2, 1, 8, 2, 7, 3, 3.0, False),
+    DecayRow(_T, _F1, 2, 1, 8, 2.0, 1e300, np.float64(math.nan), np.float64(2.0 / 3.0), False),
+    DecayRow(ChebKind.FOURTH, _F4, 5, 4, 16, 10**17, 1e17, 5e-324, 1.0, False),
+    DecayRow(ChebKind.FOURTH, _F4, 5, 4, 16, 1e17, 10**17, -math.inf, math.inf, True),
+)
+_QUAD_ROWS = (
+    QuadRow(_F1, None, 4, 1, 1.5, 1e-3, None, 5.0, False),
+    QuadRow(_F1, 0, 4, 2, 0.75, 2.5e-4, 2.0, 5.0, False),
+    QuadRow(_F1, 0, 4, 4, 0.375, 1e-16, 2.0, 5.0, True),
+    QuadRow(_CC, 1, 5, 4, -0.0, -0.0, math.nan, 3, False),
+    QuadRow(_CC, 1, 5, 4, 0.0, 0.0, -0.0, 3.0, False),
+    QuadRow(_F4, 2, 16, 8, np.float64(0.1875), np.float64(3e-9), np.float64(4.5), 4.0, False),
+    QuadRow(_F4, 2, 16, 8, 2, 10**17, 1e17, math.inf, True),
+)
+
+
+@pytest.mark.parametrize("study, rows", [("decay", _DECAY_ROWS), ("quad", _QUAD_ROWS)])
+def test_to_csv_matches_the_per_cell_reference(study, rows):
+    report = StudyReport(study, rows)
+    assert report.to_csv() == oracles.study_csv_reference(report)
+
+
+def test_study_csv_matches_the_per_cell_reference():
+    sched = ShrinkSchedule.doubling(1024)
+    for kind in QuadKind:
+        decay = coefficient_decay_study(kind, power_abs_exp(2), 8, range(1, 8), sched)
+        assert decay.to_csv() == oracles.study_csv_reference(decay)
+    quad = merge_reports(*(quadrature_convergence_study(_F1, power_abs_exp(m), range(2, 17), sched)
+                           for m in range(6)))
+    assert any(r.floored for r in quad.rows) and any(r.noc is None for r in quad.rows)
+    assert quad.to_csv() == oracles.study_csv_reference(quad)
+
+
+@pytest.mark.parametrize("row", [_DECAY_ROWS[0], _QUAD_ROWS[0]], ids=["decay", "quad"])
+def test_rows_are_immutable_tuples_with_the_dataclass_repr_and_hash(row):
+    cls = type(row)
+    with pytest.raises(AttributeError):
+        row.m = 1
+    # the frozen dataclass these rows were: the same repr, hash and equality
+    frozen = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)(*row)
+    assert repr(row) == repr(frozen)
+    assert hash(row) == hash(frozen)
+    twin = cls(*row)
+    assert twin == row and hash(twin) == hash(row) and len({row, twin}) == 1
+    assert row._replace(p=8) != row and row._replace(p=8)._replace(p=row.p) == row
+    assert list(row._asdict()) == list(cls._fields)
+
+
+@pytest.mark.parametrize("kind", list(QuadKind), ids=lambda k: k.value)
+def test_decay_study_coefficients_are_discrete_coeffs_bit_for_bit(kind):
+    # the study prepares its rule's analysis table once and applies it on every interval
+    f = power_abs_exp(2)
+    sched = ShrinkSchedule.doubling(64)
+    for n in (*range(2, 17), 64):
+        for r in coefficient_decay_study(kind, f, n, range(1, n), sched).rows:
+            cs = discrete_coeffs(kind, f.sampled(), ShrinkSchedule.interval(r.p), n)
+            assert r.coeff_abs == abs(cs.values[r.k]), (n, r.p, r.k)
+    ivs = [ShrinkSchedule.interval(p) for p in sched.p_values]
+    for gap, iv in zip(midpoint_limit_check(f.sampled(), ivs, kind, 6), ivs):
+        values = discrete_coeffs(kind, f.sampled(), iv, 6).values
+        assert gap.tail_max == max(map(abs, values[1:]))
+        assert gap.center_gap == abs(values[0] - f.evaluator(iv.midpoint))
 
 
 def test_merge_reports():

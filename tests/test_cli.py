@@ -180,6 +180,17 @@ def test_input_errors_exit_one(capsys):
          "0 is not finite)"),
         (["study-decay", "--rule", "f1", "--n", "64", "--fn", "poly:1.7e308", "--p-max", "2"],
          "numeric overflow evaluating poly:1.7e308 (coefficient of degree 0 is not finite)"),
+        # samples that overflow to infinities of both signs once ended in fsum's bare text
+        (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:0,1e308,0,1e308", "--a", "-2",
+          "--b", "2"],
+         "numeric overflow evaluating poly:0,1e308,0,1e308 on [-2.0, 2.0] (-inf + inf in fsum)"),
+        (["study-composite", "--rule", "f1", "--n", "4", "--fn", "poly:0,1e308,0,1e308", "--a",
+          "-2", "--b", "2"],
+         "numeric overflow evaluating poly:0,1e308,0,1e308 on [-2.0, 2.0] (-inf + inf in fsum)"),
+        # here each patch sum is infinite, and the sum over the patches meets both signs
+        (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:0,1e308", "--a", "-2", "--b", "2",
+          "--patches", "2"],
+         "numeric overflow evaluating poly:0,1e308 on [-2.0, 2.0] (-inf + inf in fsum)"),
         (["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
          "No such file or directory"),
         # neighbouring breakpoints of 64 patches round together; refused before any sample
@@ -226,7 +237,8 @@ def test_input_errors_exit_one(capsys):
          "--m-range upper bound below lower bound in '3..1'"),
     ],
     ids=["non-finite", "overflow", "overflow-coeffs", "overflow-coeffs-fft",
-         "overflow-coeffs-fft-json", "overflow-decay-fft", "unwritable-out",
+         "overflow-coeffs-fft-json", "overflow-decay-fft", "overflow-quad-both-signs",
+         "overflow-composite-both-signs", "overflow-quad-patch-sums", "unwritable-out",
          "breakpoints-collapse", "m-range-exp", "m-range-poly", "m-exp",
          "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite", "patches-zero",
          "patches-negative", "p-max-zero-decay", "p-max-zero-quad", "p-max-zero-composite",

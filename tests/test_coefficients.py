@@ -121,9 +121,9 @@ def test_fft_coefficients_match_exact_sums(kind, monkeypatch):
         fvals = coefficients._sample_at_nodes(f, iv, thetas)
         ks = range(n) if n <= TRANSFORM_CUTOFF else sorted({*range(0, n, n // 32), n - 3, n - 2, n - 1})
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", 1)
-        fast = np.array(rules._coeff_values(kind, thetas, fvals, n, ks))
+        fast = np.array(rules._coeff_values(rules._analysis(kind, n, ks), fvals))
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", n + 1)
-        exact = np.array(rules._coeff_values(kind, thetas, fvals, n, ks))
+        exact = np.array(rules._coeff_values(rules._analysis(kind, n, ks), fvals))
         bound = 0.5 * n * np.finfo(float).eps * np.max(np.abs(fvals))
         assert np.max(np.abs(fast - exact)) <= bound, n
 
@@ -141,9 +141,9 @@ def test_array_rows_match_python_termwise_sums(kind, monkeypatch):
         thetas = rule_thetas(kind, n).tolist()
         fvals = coefficients._sample_at_nodes(f, iv, thetas)
         ks = [0, 1, 2, 7, n // 2, n - 1]
-        rows = np.array(rules._coeff_values(kind, thetas, fvals, n, ks))
+        rows = np.array(rules._coeff_values(rules._analysis(kind, n, ks), fvals))
         monkeypatch.setattr(rules, "TRANSFORM_CUTOFF", n + 1)
-        loop = np.array(rules._coeff_values(kind, thetas, fvals, n, ks))
+        loop = np.array(rules._coeff_values(rules._analysis(kind, n, ks), fvals))
         monkeypatch.undo()
         bound = 0.5 * n * np.finfo(float).eps * np.max(np.abs(fvals))
         assert np.max(np.abs(rows - loop)) <= bound, n

@@ -151,6 +151,26 @@ def test_interval_rejects_overflowing_width():
         Interval(1e308, 1.7e308)
 
 
+@pytest.mark.parametrize("a, b, says", [
+    (math.nan, 1.0, "interval endpoints must be finite, got [nan, 1.0]"),
+    (0.0, math.nan, "interval endpoints must be finite, got [0.0, nan]"),
+    (-math.inf, 0.0, "interval endpoints must be finite, got [-inf, 0.0]"),
+    # the finiteness check comes first, also where a > b
+    (math.inf, 0.0, "interval endpoints must be finite, got [inf, 0.0]"),
+    (1.0, 1.0, "interval requires a < b, got [1.0, 1.0]"),
+    (2.0, -1.0, "interval requires a < b, got [2.0, -1.0]"),
+    # the order check comes before the width check
+    (1.7e308, 1e308, "interval requires a < b, got [1.7e+308, 1e+308]"),
+    (-1e308, 1e308, "interval [-1e+308, 1e+308] is too wide for floating point"),
+    (1e308, 1.7e308, "interval [1e+308, 1.7e+308] is too wide for floating point"),
+], ids=["nan-a", "nan-b", "inf-a", "inf-a-above-b", "equal", "reversed", "reversed-wide",
+        "wide-length", "wide-midpoint"])
+def test_interval_errors_word_the_first_failed_check(a, b, says):
+    with pytest.raises(ValueError) as exc:
+        Interval(a, b)
+    assert str(exc.value) == says
+
+
 def test_affine_map_endpoints_and_roundtrip():
     iv = Interval(-0.5, 1.0)
     assert affine_map(iv, -1.0) == -0.5

@@ -194,6 +194,23 @@ def test_composite_keeps_per_patch_overflow_check():
         integrate_composite(QuadKind.FEJER_I, EXP, part, 4)
 
 
+@pytest.mark.parametrize("pieces", [1, 2], ids=["within-a-patch", "across-patches"])
+def test_infinities_of_both_signs_raise_overflow(pieces):
+    # samples that overflowed: both signs meet inside one patch sum, or in the sum of two
+    f = SampledFunction(lambda x: math.copysign(math.inf, x))
+    part = Partition.equispaced(Interval(-1.0, 1.0), pieces)
+    with pytest.raises(OverflowError, match=r"^-inf \+ inf in fsum$"):
+        integrate_composite(QuadKind.FEJER_I, f, part, 4)
+
+
+def test_a_sampling_value_error_passes_unchanged():
+    def f(x):
+        raise ValueError("not defined here")
+
+    with pytest.raises(ValueError, match="^not defined here$"):
+        integrate_composite(QuadKind.FEJER_I, SampledFunction(f), Partition.equispaced(Interval(0.0, 1.0), 3), 4)
+
+
 def test_composite_error_shrinks_at_the_expected_order():
     # trapezoid-like cc n=2 is second order: 8x the patches, ~64x the accuracy
     iv = Interval(-0.5, 1.0)

@@ -2,7 +2,7 @@
 
     python3 tools/ab.py --topic NAME [--parent REV] [--workload NAME[:PAIRS]]...
                         [--seed N]... [--seconds S] [--cli "ARGS"]...
-                        [--op-rss WORKLOAD]...
+                        [--op-rss WORKLOAD]... [--op-time WORKLOAD]...
 
 The change is the checkout that holds this file, as it stands on disk: its
 tracked and untracked files, ignored ones left out, written as a git tree
@@ -20,7 +20,13 @@ each tree's own ``bench/run.py --trace 0`` for S seconds (default the
 each side in alternating order, with their wall time and maximum RSS.
 Each ``--op-rss`` runs one round of a workload op by op in a fresh process per
 side, right after the benchmark's own imports, and records how far each
-operation raised the peak RSS.
+operation raised the peak RSS.  Each ``--op-time`` runs a workload in
+OP_TIME_REPEATS fresh processes per side, alternating which side goes first:
+each process runs one untimed round, so that caches stand as the benchmark's
+loop finds them, then times the same round op by op with the benchmark's own
+op runner.  It records each op's minimum time per side over the repeats, the
+change's fraction, and the median op of each side, the one that sets
+``latency_p50_ms`` in a loop of whole rounds.
 
 The output holds every run's result line and the tail percentile it names,
 per workload and metric both sides' median and quartiles, the pairs the
@@ -57,6 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
 CLI_RUNS = 12
+OP_TIME_REPEATS = 5
 _TAIL = re.compile(r"latency_tail_ms p(\S+) of (\d+) ops")
 
 # Runs in a fresh interpreter with cwd at a tree's root: one round of a
@@ -73,6 +80,19 @@ for op in run.opsmod.generate(sys.argv[1], int(sys.argv[2])):
     run._run_op(op, lib)
     steps.append([op.name, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before])
 print(json.dumps(steps))
+"""
+
+# The same start, then one untimed round and one round timed op by op:
+# [op name, seconds] per op as one JSON list.
+_OP_TIME_SCRIPT = """
+import json, sys
+sys.path.insert(0, "bench")
+import run
+lib = run._load_package()
+ops = run.opsmod.generate(sys.argv[1], int(sys.argv[2]))
+for op in ops:
+    run._run_op(op, lib)
+print(json.dumps([[op.name, run._run_op(op, lib)[0]] for op in ops]))
 """
 
 
@@ -141,10 +161,43 @@ def cli_run(tree: Path, argv: list[str]) -> dict:
             "returncode": proc.returncode, "stdout_sha256": hashlib.sha256(out).hexdigest()}
 
 
-def op_rss(tree: Path, workload: str, seed: int) -> list:
-    proc = subprocess.run([sys.executable, "-c", _OP_RSS_SCRIPT, workload, str(seed)],
+def _op_script(tree: Path, script: str, workload: str, seed: int) -> list:
+    """The JSON list that one of the op-by-op scripts prints, run in a fresh process on tree."""
+    proc = subprocess.run([sys.executable, "-c", script, workload, str(seed)],
                           cwd=tree, env=_env(tree), capture_output=True, text=True, check=True)
-    return [[name, kib / 1024.0] for name, kib in json.loads(proc.stdout.splitlines()[-1])]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def op_rss(tree: Path, workload: str, seed: int) -> list:
+    return [[name, kib / 1024.0] for name, kib in _op_script(tree, _OP_RSS_SCRIPT, workload, seed)]
+
+
+def op_time(trees: dict[str, Path], workload: str, seed: int) -> dict:
+    """Each op's minimum time per side over OP_TIME_REPEATS alternating fresh processes."""
+    runs: dict[str, list] = {side: [] for side in SIDES}
+    for _, order in _orders(OP_TIME_REPEATS):
+        for side in order:
+            runs[side].append(_op_script(trees[side], _OP_TIME_SCRIPT, workload, seed))
+    return {"seed": seed, "repeats": OP_TIME_REPEATS, **summarise_op_times(runs)}
+
+
+def summarise_op_times(runs: dict[str, list]) -> dict:
+    """Per op, both sides' fastest run in ms and the change's fraction, slowest parent op first;
+    per side, the median op and its time."""
+    names = [name for name, _ in runs["parent"][0]]
+    best = {}
+    for side in SIDES:
+        if any([name for name, _ in run] != names for run in runs[side]):
+            raise ValueError(f"{side} ran a different round of ops")
+        best[side] = [1e3 * min(col) for col in zip(*[[s for _, s in run] for run in runs[side]])]
+    ops = [{"op": name, "parent_ms": p, "change_ms": c, "change_frac": c / p - 1.0}
+           for name, p, c in zip(names, best["parent"], best["change"])]
+    median = {}
+    for side in SIDES:
+        # the nearest-rank p50 of one round, as bench/run.py takes it
+        ms, name = sorted(zip(best[side], names))[(len(names) + 1) // 2 - 1]
+        median[side] = {"op": name, "ms": ms}
+    return {"ops": sorted(ops, key=lambda row: -row["parent_ms"]), "median_op": median}
 
 
 def _spread(values: list[float]) -> dict:
@@ -257,6 +310,10 @@ def measure(args, trees: dict[str, Path], tree_ids: dict[str, str]) -> dict:
                    **{side: op_rss(trees[side], workload, args.seed[0]) for side in SIDES}}
         for workload in args.op_rss
     }
+    record["op_time"] = {}
+    for workload in args.op_time:
+        record["op_time"][workload] = op_time(trees, workload, args.seed[0])
+        _log(f"op-time {workload}: {OP_TIME_REPEATS} rounds per side")
     return record
 
 
@@ -272,6 +329,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="localcheb arguments for fresh-process runs, repeatable")
     parser.add_argument("--op-rss", action="append", default=[], metavar="WORKLOAD",
                         help="per-op peak RSS steps of one round, repeatable")
+    parser.add_argument("--op-time", action="append", default=[], metavar="WORKLOAD",
+                        help=f"per-op minimum times over {OP_TIME_REPEATS} rounds, repeatable")
     args = parser.parse_args(argv)
     args.seed = args.seed or [1]
 
