@@ -21,8 +21,8 @@ A study pays for its numbers, not for its bookkeeping.  Rows are
 ``typing.NamedTuple``s (immutable, with a dataclass-style repr; ``_replace``
 and ``_asdict`` copy and unpack them).  The CSV writer forms each row's line
 as one f-string.  The decay study computes each k's tdr once, and prepares
-its rule's analysis table once and applies it to the samples of every
-interval of the schedule.
+its rule's analysis table once for the discrete_coeffs of every interval
+of the schedule.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .coefficients import SampledFunction, _rule_coeffs
+from .coefficients import SampledFunction, discrete_coeffs
 from .polynomials import ChebKind, Interval, _index
 from .quadrature import _StreamedPartition, _finite_value, _patch_sums, integrate_composite
 from .rules import QuadKind, _analysis, _check_n, family_for_rule, make_rule
@@ -364,8 +364,8 @@ def coefficient_decay_study(
     The floor on each step is COEFF_FLOOR_SCALE * (1 + |c~_0|) of that step,
     since c~_0 tracks the local function magnitude.  A rate is recorded only
     when the current and previous magnitudes are both above their floors.
-    The rule's analysis table is prepared once and applied on every step,
-    so each coefficient is discrete_coeffs' bit for bit.
+    The rule's analysis table is prepared once and passed to
+    discrete_coeffs on every step.
     """
     n = _check_n(kind, n)
     k_list = _sorted_ints(ks, "coefficient index")
@@ -380,7 +380,7 @@ def coefficient_decay_study(
     for p in schedule.p_values:
         iv = ShrinkSchedule.interval(p)
         h = ShrinkSchedule.h(p)
-        values = _rule_coeffs(table, sf, iv)
+        values = discrete_coeffs(kind, sf, iv, n, table=table).values
         floor = COEFF_FLOOR_SCALE * (1.0 + abs(values[0]))
         for k, tdr in zip(k_list, tdrs):
             mag = abs(values[k])

@@ -11,7 +11,7 @@ sampling path: the rule's analysis table from rules.py (its angles and, at
 small n, the node factors and trigonometric rows), one evaluation per node,
 and the analysis transform applied to those samples.
 midpoint_limit_check and the decay study of analysis.py prepare the table
-once and apply it on every interval.  Below TRANSFORM_CUTOFF nodes the
+once and pass it to discrete_coeffs on every interval.  Below TRANSFORM_CUTOFF nodes the
 samples and the coefficients are Python floats, so the paper's sizes import
 no numpy.
 """
@@ -124,19 +124,24 @@ def _rule_coeffs(table: _Analysis, f: SampledFunction, interval: Interval) -> tu
 
 
 def discrete_coeffs(
-    kind: QuadKind, f: SampledFunction, interval: Interval, n: int
+    kind: QuadKind, f: SampledFunction, interval: Interval, n: int,
+    *, table: _Analysis | None = None,
 ) -> CoefficientSet:
     """Coefficients c~_0..c~_{n-1} from the n-point rule of the given kind.
 
     The function is evaluated exactly once per node.  The resulting series
     reproduces those samples: it is the unique interpolant of f at the
     rule's (mapped) nodes within the matched family's degree-(n-1) span.
+    A caller that takes this rule's coefficients on many intervals passes
+    table, rules._analysis(kind, n, range(n)), to prepare it only once.
     """
     n = _check_n(kind, n)
+    if table is None:
+        table = _analysis(kind, n, range(n))
     return CoefficientSet(
         family=family_for_rule(kind),
         interval=interval,
-        values=_rule_coeffs(_analysis(kind, n, range(n)), f, interval),
+        values=_rule_coeffs(table, f, interval),
         source=DiscreteRuleSource(kind, n),
     )
 
@@ -234,7 +239,7 @@ def midpoint_limit_check(
     table = _analysis(kind, n, range(n))
     rows = []
     for iv in intervals:
-        values = _rule_coeffs(table, f, iv)
+        values = discrete_coeffs(kind, f, iv, n, table=table).values
         gap = abs(values[0] - float(f.evaluator(iv.midpoint)))
         tail = max((abs(v) for v in values[1:]), default=0.0)
         rows.append(MidpointGap(iv, gap, tail))

@@ -101,11 +101,6 @@ class Interval:
     b: float
 
     def __post_init__(self) -> None:
-        # one test passes every valid interval (a < b with b - a and a + b
-        # finite holds only for finite ends); the checks below only word a failure
-        a, b = self.a, self.b
-        if a < b and math.isfinite(b - a) and math.isfinite(a + b):
-            return
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:

@@ -135,23 +135,26 @@ def _patch_sums(
     The rule holds its nodes and weights as Python floats, so each node
     costs one affine_map call, one evaluation and one multiply.  The sums
     come from an iterator, to be consumed once: a patch is sampled only when
-    its sum is asked for, so no list of P sums is held.  Terms that
-    overflowed to infinities of both signs make math.fsum raise
-    ValueError("-inf + inf in fsum"); it is raised as the OverflowError it
-    stems from.
+    its sum is asked for, so no list of P sums is held.  An infinite patch
+    sum raises OverflowError, whatever the signs of its terms: where they
+    overflowed to infinities of both signs math.fsum raises its "-inf + inf"
+    ValueError, which is raised as that OverflowError.  So every sum over
+    the patches is of finite values and NaNs.
     """
     tw = list(zip(rule.node_values, rule.weight_values))
     for patch in patches:
         terms = [w * float(f(affine_map(patch, t))) for t, w in tw]
         try:
-            total = math.fsum(terms)
+            total = 0.5 * patch.h * math.fsum(terms)
         except ValueError as exc:
             raise OverflowError(*exc.args) from None
-        yield 0.5 * patch.h * total
+        if math.isinf(total):
+            raise OverflowError(f"quadrature value {total!r} is not finite")
+        yield total
 
 
 def _finite_value(value: float) -> float:
-    # checked once per call, not per node: a NaN or infinite sample leaves the sum non-finite
+    # checked once per call, not per node: a NaN sample leaves the sum NaN
     if not math.isfinite(value):
         raise ValueError(f"quadrature value {value!r} is not finite")
     return value
@@ -159,21 +162,9 @@ def _finite_value(value: float) -> float:
 
 def _composite_sum(rule: QuadratureRule, f: Callable[[float], float],
                    breakpoints: Iterable[float]) -> float:
-    """The rule's sum over the patches between consecutive breakpoints, read in one pass.
-
-    Patch sums that overflowed to infinities of both signs make this
-    math.fsum raise its "-inf + inf" ValueError once every patch is read; it
-    is raised as an OverflowError, as _patch_sums raises it within a patch.
-    A ValueError raised while a patch is sampled passes unchanged.
-    """
+    """The rule's sum over the patches between consecutive breakpoints, read in one pass."""
     patches = itertools.starmap(Interval, itertools.pairwise(breakpoints))
-    try:
-        total = math.fsum(_patch_sums(rule, f, patches))
-    except ValueError as exc:
-        if exc.__traceback__.tb_next is not None:  # raised inside _patch_sums, not by fsum
-            raise
-        raise OverflowError(*exc.args) from None
-    return _finite_value(total)
+    return _finite_value(math.fsum(_patch_sums(rule, f, patches)))
 
 
 def integrate(kind: QuadKind, f: SampledFunction, interval: Interval, n: int) -> QuadResult:

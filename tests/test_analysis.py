@@ -254,12 +254,14 @@ def test_quad_study_matches_one_integrate_per_cell(kind):
             assert quadrature_convergence_study(kind, f, ns, schedule).to_csv() == want
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-def test_quad_study_refuses_a_non_finite_sum_as_integrate_does(bad):
+# an infinite sum is an overflow, a NaN sum an invalid value
+@pytest.mark.parametrize("bad, error", [(math.nan, ValueError), (math.inf, OverflowError)],
+                         ids=["nan", "inf"])
+def test_quad_study_refuses_a_non_finite_sum_as_integrate_does(bad, error):
     f = TestFunction("bad", None, lambda x: bad, exact_integral=lambda iv: 0.0)
-    with pytest.raises(ValueError) as direct:
+    with pytest.raises(error) as direct:
         integrate(QuadKind.FEJER_I, f.sampled(), ShrinkSchedule.interval(1), 4)
-    with pytest.raises(ValueError, match=f"quadrature value {bad!r} is not finite") as study:
+    with pytest.raises(error, match=f"quadrature value {bad!r} is not finite") as study:
         quadrature_convergence_study(QuadKind.FEJER_I, f, [4, 5], ShrinkSchedule.doubling(8))
     assert str(study.value) == str(direct.value)
 

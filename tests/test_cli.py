@@ -187,10 +187,11 @@ def test_input_errors_exit_one(capsys):
         (["study-composite", "--rule", "f1", "--n", "4", "--fn", "poly:0,1e308,0,1e308", "--a",
           "-2", "--b", "2"],
          "numeric overflow evaluating poly:0,1e308,0,1e308 on [-2.0, 2.0] (-inf + inf in fsum)"),
-        # here each patch sum is infinite, and the sum over the patches meets both signs
+        # here the first patch's sum is -inf, the second's +inf; the first one raises
         (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:0,1e308", "--a", "-2", "--b", "2",
           "--patches", "2"],
-         "numeric overflow evaluating poly:0,1e308 on [-2.0, 2.0] (-inf + inf in fsum)"),
+         "numeric overflow evaluating poly:0,1e308 on [-2.0, 2.0] (quadrature value -inf is not "
+         "finite)"),
         (["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
          "No such file or directory"),
         # neighbouring breakpoints of 64 patches round together; refused before any sample

@@ -194,13 +194,20 @@ def test_composite_keeps_per_patch_overflow_check():
         integrate_composite(QuadKind.FEJER_I, EXP, part, 4)
 
 
-@pytest.mark.parametrize("pieces", [1, 2], ids=["within-a-patch", "across-patches"])
-def test_infinities_of_both_signs_raise_overflow(pieces):
-    # samples that overflowed: both signs meet inside one patch sum, or in the sum of two
-    f = SampledFunction(lambda x: math.copysign(math.inf, x))
+@pytest.mark.parametrize("f, pieces, says", [
+    (lambda x: math.inf, 1, "quadrature value inf is not finite"),
+    # the first patch is all -inf; the error comes before the second is sampled
+    (lambda x: math.copysign(math.inf, x), 2, "quadrature value -inf is not finite"),
+    # infinities of both signs within one patch
+    (lambda x: math.copysign(math.inf, x), 1, "-inf + inf in fsum"),
+    # finite samples whose weighted sum overflows
+    (lambda x: 1.7e308, 1, "intermediate overflow in fsum"),
+], ids=["one-sign", "one-sign-per-patch", "both-signs", "finite-samples"])
+def test_an_infinite_quadrature_value_raises_overflow_whatever_its_signs(f, pieces, says):
     part = Partition.equispaced(Interval(-1.0, 1.0), pieces)
-    with pytest.raises(OverflowError, match=r"^-inf \+ inf in fsum$"):
-        integrate_composite(QuadKind.FEJER_I, f, part, 4)
+    with pytest.raises(OverflowError) as exc:
+        integrate_composite(QuadKind.FEJER_I, SampledFunction(f), part, 4)
+    assert str(exc.value) == says
 
 
 def test_a_sampling_value_error_passes_unchanged():
@@ -246,11 +253,12 @@ def test_evaluation_counts():
 
 def test_non_finite_value_is_rejected():
     iv = Interval(0.0, 1.0)
-    for value in (math.nan, math.inf):
+    # an infinite value is an overflow, a NaN value an invalid one
+    for value, error in ((math.nan, ValueError), (math.inf, OverflowError)):
         f = SampledFunction(lambda x, value=value: value if x > 0.9 else x)
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(error, match="not finite"):
             integrate(QuadKind.FEJER_I, f, iv, 4)
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(error, match="not finite"):
             integrate_composite(QuadKind.FEJER_I, f, Partition.equispaced(iv, 3), 4)
 
 
