@@ -113,8 +113,10 @@ def _sample_at_nodes(
     xs = [affine_map(interval, math.cos(th)) for th in thetas]
     fvals = [float(evaluator(x)) for x in xs]
     if not all(map(math.isfinite, fvals)):
+        # an infinite sample is an overflow, a NaN sample an invalid value
         j = next(j for j, v in enumerate(fvals) if not math.isfinite(v))
-        raise ValueError(f"non-finite sample {fvals[j]!r} at node {j} (x = {xs[j]!r})")
+        error = OverflowError if math.isinf(fvals[j]) else ValueError
+        raise error(f"non-finite sample {fvals[j]!r} at node {j} (x = {xs[j]!r})")
     return fvals
 
 

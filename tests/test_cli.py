@@ -192,6 +192,13 @@ def test_input_errors_exit_one(capsys):
           "--patches", "2"],
          "numeric overflow evaluating poly:0,1e308 on [-2.0, 2.0] (quadrature value -inf is not "
          "finite)"),
+        # samples that overflow to one sign are an overflow too, in a sum or in a coefficient
+        (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:1e308,1e308", "--a", "1", "--b", "2"],
+         "numeric overflow evaluating poly:1e308,1e308 on [1.0, 2.0] (quadrature value inf is not "
+         "finite)"),
+        (["coeffs", "--rule", "f1", "--n", "4", "--fn", "poly:1e308,1e308", "--a", "1", "--b", "2"],
+         "numeric overflow evaluating poly:1e308,1e308 on [1.0, 2.0] (non-finite sample inf at node "
+         "0 (x = 1.9619397662556435))"),
         (["nodes", "--rule", "f1", "--n", "4", "--out", "{missing_dir}/x.csv"],
          "No such file or directory"),
         # neighbouring breakpoints of 64 patches round together; refused before any sample
@@ -239,7 +246,8 @@ def test_input_errors_exit_one(capsys):
     ],
     ids=["non-finite", "overflow", "overflow-coeffs", "overflow-coeffs-fft",
          "overflow-coeffs-fft-json", "overflow-decay-fft", "overflow-quad-both-signs",
-         "overflow-composite-both-signs", "overflow-quad-patch-sums", "unwritable-out",
+         "overflow-composite-both-signs", "overflow-quad-patch-sums",
+         "overflow-quad-one-sign", "overflow-coeffs-one-sign", "unwritable-out",
          "breakpoints-collapse", "m-range-exp", "m-range-poly", "m-exp",
          "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite", "patches-zero",
          "patches-negative", "p-max-zero-decay", "p-max-zero-quad", "p-max-zero-composite",

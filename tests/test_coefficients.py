@@ -171,10 +171,12 @@ def test_subnormal_coefficients_flush_to_zero(coeffs):
 
 
 def test_non_finite_sample_names_the_node():
-    f = SampledFunction(lambda x: math.nan if x > 0.9 else x)
-    for n in (8, TRANSFORM_CUTOFF):
-        with pytest.raises(ValueError, match=r"non-finite sample nan at node 0 \(x = 0\.9"):
-            discrete_coeffs(QuadKind.FEJER_I, f, Interval(0.0, 1.0), n)
+    # an infinite sample is an overflow, a NaN sample an invalid value
+    for bad, error in ((math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)):
+        f = SampledFunction(lambda x, bad=bad: bad if x > 0.9 else x)
+        for n in (8, TRANSFORM_CUTOFF):
+            with pytest.raises(error, match=rf"^non-finite sample {bad!r} at node 0 \(x = 0\.9"):
+                discrete_coeffs(QuadKind.FEJER_I, f, Interval(0.0, 1.0), n)
 
 
 def test_first_kind_alias_folding():
