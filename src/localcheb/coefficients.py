@@ -11,9 +11,9 @@ sampling path: the rule's analysis table from rules.py (its angles and, at
 small n, the node factors and trigonometric rows), one evaluation per node,
 and the analysis transform applied to those samples.
 midpoint_limit_check and the decay study of analysis.py prepare the table
-once and pass it to discrete_coeffs on every interval.  Below TRANSFORM_CUTOFF nodes the
-samples and the coefficients are Python floats, so the paper's sizes import
-no numpy.
+once and pass it to discrete_coeffs on every interval.  Below
+TRANSFORM_CUTOFF nodes the samples and the coefficients are Python floats,
+so the paper's sizes import no numpy.
 """
 
 from __future__ import annotations
