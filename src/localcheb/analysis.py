@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .coefficients import SampledFunction, discrete_coeffs
 from .polynomials import ChebKind, Interval, _index
-from .quadrature import _StreamedPartition, _finite_value, _patch_sums, integrate_composite
+from .quadrature import _StreamedPartition, _patch_sums, integrate_composite
 from .rules import QuadKind, _analysis, _check_n, family_for_rule, make_rule
 
 __all__ = [
@@ -159,7 +159,8 @@ def function_by_id(fn_id: str, m: int | None = None) -> TestFunction:
     elif fn_id.startswith("poly:"):
         body = fn_id[len("poly:") :]
         try:
-            coeffs = [float(tok) for tok in body.split(",") if tok.strip() != ""]
+            # an empty entry is malformed, not dropped: it would shift every later power
+            coeffs = [float(tok) for tok in body.split(",")] if body.strip() else []
         except ValueError as exc:
             raise ValueError(f"bad polynomial coefficient list {body!r}") from exc
         fn = poly_fn(coeffs)
@@ -423,9 +424,8 @@ def quadrature_convergence_study(
     The schedule's intervals, widths and exact integrals are built once per
     call.  Each node count builds its rule once and takes the weighted sums
     on every interval of the schedule in one pass of integrate's patch-sum
-    path.  Each sum goes straight to integrate's finiteness check, since the
-    math.fsum of one sum is that sum, so every error, and the message a
-    non-finite sum raises, is integrate's bit for bit.
+    path, so every error, and the message a non-finite sum raises at the
+    first interval it meets, is integrate's bit for bit.
     """
     exact = f.exact_integral
     if exact is None:
@@ -439,7 +439,7 @@ def quadrature_convergence_study(
     exacts = [exact(iv) for iv in intervals]
     rows: list[QuadRow] = []
     for n in n_list:
-        values = map(_finite_value, _patch_sums(make_rule(kind, n), evaluator, intervals))
+        values = _patch_sums(make_rule(kind, n), evaluator, intervals)
         rows += _quad_rows(kind, f, n, zip(ps, widths, exacts, values), False)
     return _report("quad", rows)
 

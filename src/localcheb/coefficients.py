@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .polynomials import ChebKind, Interval, _index, _recurrence, affine_map, clamp_reference, gamma
+from .polynomials import (ChebKind, Interval, _index, _non_finite, _recurrence, affine_map,
+                          clamp_reference, gamma)
 from .rules import _FAMILY, QuadKind, _analysis, _Analysis, _check_n, _coeff_values, family_for_rule
 
 __all__ = [
@@ -113,10 +114,8 @@ def _sample_at_nodes(
     xs = [affine_map(interval, math.cos(th)) for th in thetas]
     fvals = [float(evaluator(x)) for x in xs]
     if not all(map(math.isfinite, fvals)):
-        # an infinite sample is an overflow, a NaN sample an invalid value
         j = next(j for j, v in enumerate(fvals) if not math.isfinite(v))
-        error = OverflowError if math.isinf(fvals[j]) else ValueError
-        raise error(f"non-finite sample {fvals[j]!r} at node {j} (x = {xs[j]!r})")
+        raise _non_finite(fvals[j], f"non-finite sample {fvals[j]!r} at node {j} (x = {xs[j]!r})")
     return fvals
 
 

@@ -75,6 +75,11 @@ def _index(
     return value.astype("int64", copy=False) if array else value
 
 
+def _non_finite(value: float, message: str) -> Exception:
+    """The error for a non-finite value: an infinity is an overflow, a NaN an invalid value."""
+    return (OverflowError if math.isinf(value) else ValueError)(message)
+
+
 class ChebKind(Enum):
     """The four Chebyshev polynomial families."""
 

@@ -4,7 +4,8 @@ A rule's reference weights integrate over [-1, 1]; mapping to [a, b] scales
 the sum by h/2.  Single-patch and composite integration share one patch-sum
 path: the rule is built and its nodes and weights are taken as Python floats
 once per call, each patch's weighted sum is reduced exactly with math.fsum,
-and the patch sums are added with one more math.fsum.  A single patch is the
+and the patch sums are added with one more math.fsum.  A patch sum that is
+not finite raises where it is made, at its patch.  A single patch is the
 one-patch case of that path, so the two entry points agree to the bit.  The
 quadrature convergence study shares the same path too: one patch-sum call per
 node count covers every interval of its shrink schedule.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coefficients import CoefficientSet, SampledFunction, discrete_coeffs
-from .polynomials import Interval, _index, affine_inverse, affine_map
+from .polynomials import Interval, _index, _non_finite, affine_inverse, affine_map
 from .rules import QuadKind, QuadratureRule, make_rule
 
 __all__ = [
@@ -135,11 +136,12 @@ def _patch_sums(
     The rule holds its nodes and weights as Python floats, so each node
     costs one affine_map call, one evaluation and one multiply.  The sums
     come from an iterator, to be consumed once: a patch is sampled only when
-    its sum is asked for, so no list of P sums is held.  An infinite patch
-    sum raises OverflowError, whatever the signs of its terms: where they
-    overflowed to infinities of both signs math.fsum raises its "-inf + inf"
-    ValueError, which is raised as that OverflowError.  So every sum over
-    the patches is of finite values and NaNs.
+    its sum is asked for, so no list of P sums is held.  Each sum is checked
+    here and nowhere else: an infinite one raises OverflowError, whatever
+    the signs of its terms (math.fsum's "-inf + inf" ValueError is raised
+    as that OverflowError), and a NaN one ValueError, at its patch.  Every
+    sum yielded is finite, so math.fsum over them returns a finite total or
+    raises OverflowError itself.
     """
     tw = list(zip(rule.node_values, rule.weight_values))
     for patch in patches:
@@ -148,29 +150,14 @@ def _patch_sums(
             total = 0.5 * patch.h * math.fsum(terms)
         except ValueError as exc:
             raise OverflowError(*exc.args) from None
-        if math.isinf(total):
-            raise OverflowError(f"quadrature value {total!r} is not finite")
+        if not math.isfinite(total):
+            raise _non_finite(total, f"quadrature value {total!r} is not finite")
         yield total
-
-
-def _finite_value(value: float) -> float:
-    # checked once per call, not per node: a NaN sample leaves the sum NaN
-    if not math.isfinite(value):
-        raise ValueError(f"quadrature value {value!r} is not finite")
-    return value
-
-
-def _composite_sum(rule: QuadratureRule, f: Callable[[float], float],
-                   breakpoints: Iterable[float]) -> float:
-    """The rule's sum over the patches between consecutive breakpoints, read in one pass."""
-    patches = itertools.starmap(Interval, itertools.pairwise(breakpoints))
-    return _finite_value(math.fsum(_patch_sums(rule, f, patches)))
 
 
 def integrate(kind: QuadKind, f: SampledFunction, interval: Interval, n: int) -> QuadResult:
     """Apply the n-point rule of the given kind once over the whole interval."""
-    rule = make_rule(kind, n)
-    value = _composite_sum(rule, f.evaluator, (interval.a, interval.b))
+    value = math.fsum(_patch_sums(make_rule(kind, n), f.evaluator, (interval,)))
     return QuadResult(value=value, kind=kind, n=n, evaluations=n)
 
 
@@ -188,7 +175,8 @@ def integrate_composite(
     --patches.
     """
     rule = make_rule(kind, n)
-    value = _composite_sum(rule, f.evaluator, partition.breakpoints)
+    patches = itertools.starmap(Interval, itertools.pairwise(partition.breakpoints))
+    value = math.fsum(_patch_sums(rule, f.evaluator, patches))
     return QuadResult(value=value, kind=kind, n=n, evaluations=n * partition.pieces)
 
 

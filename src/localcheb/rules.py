@@ -271,6 +271,8 @@ def _coeff_values(table: _Analysis, fvals: Sequence[float]) -> list[float]:
         base = [f * w for f, w in zip(fvals, factors)]
         sums = [_fsum([b * t for b, t in zip(base, row)]) for row in rows]
     out = _normalise(kind, n, ks, sums)
+    # finite samples make a NaN coefficient only through inf - inf, so any
+    # non-finite coefficient is an overflow
     if not all(map(math.isfinite, out)):
         k = next(k for k, v in zip(ks, out) if not math.isfinite(v))
         raise OverflowError(f"coefficient of degree {k} is not finite")
@@ -322,21 +324,19 @@ def _array_sums(
 def _normalise(kind: QuadKind, n: int, ks: Sequence[int], sums: Sequence[float]) -> list[float]:
     """The coefficients from their node sums: divide out the discrete norms N_k.
 
-    N_k is the rule's norm (_norm), doubled at each degree k < n whose
-    index sum 2k + 2s is a multiple of the period P.  Both scales and the
-    doubled degrees are formed once per call.  The rules with a whole shift
-    s (f1, cc, f2) multiply by 1 / N_k and the half-shift rules (f3, f4)
-    divide by N_k; the two differ in the last bit, and the goldens hold these.
+    N_k is the rule's norm (_norm), doubled at each degree k whose index
+    sum 2k + 2s is a multiple of the period P (every caller asks for
+    0 <= k < n).  The rules with a whole shift s (f1, cc, f2) multiply by
+    1 / N_k and the half-shift rules (f3, f4) divide by N_k; the two differ
+    in the last bit, and the goldens hold these.
     """
     norm, period = _norm(kind, n), _period(kind, n)
     two_s = int(2 * _ANGLE_FORM[_FAMILY[kind]][0])
-    # each multiple h of P that is the index sum 2k + 2s of some k < n
-    doubled = {(h - two_s) // 2 for h in range(0, 2 * n + two_s, period)
-               if h >= two_s and (h - two_s) % 2 == 0}
+    doubled = [(2 * k + two_s) % period == 0 for k in ks]
     if two_s % 2:
-        return [v / (2 * norm if k in doubled else norm) for k, v in zip(ks, sums)]
+        return [v / (2 * norm if d else norm) for d, v in zip(doubled, sums)]
     once, twice = 1 / norm, 1 / (2 * norm)
-    return [(twice if k in doubled else once) * v for k, v in zip(ks, sums)]
+    return [(twice if d else once) * v for d, v in zip(doubled, sums)]
 
 
 def _read_only(values: tuple[float, ...]) -> np.ndarray:

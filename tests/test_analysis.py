@@ -156,6 +156,21 @@ def test_poly_rejects_non_finite_coefficients(fn_id, index):
         function_by_id(fn_id)
 
 
+# an empty entry once was dropped, so poly:1,,2 read as 1 + 2x
+@pytest.mark.parametrize("fn_id", ["poly:1,,2", "poly:1,2,", "poly:,1", "poly:1, ,2"])
+def test_poly_rejects_an_empty_entry(fn_id):
+    body = fn_id[len("poly:"):]
+    with pytest.raises(ValueError) as exc:
+        function_by_id(fn_id)
+    assert str(exc.value) == f"bad polynomial coefficient list {body!r}"
+
+
+@pytest.mark.parametrize("fn_id", ["poly:", "poly: "])
+def test_poly_without_coefficients_keeps_its_text(fn_id):
+    with pytest.raises(ValueError, match="^poly needs at least one coefficient$"):
+        function_by_id(fn_id)
+
+
 def test_function_id_dispatch():
     assert function_by_id("exp").fn_id == "exp"
     assert function_by_id("xm_abs_exp", 2).m == 2
@@ -264,6 +279,19 @@ def test_quad_study_refuses_a_non_finite_sum_as_integrate_does(bad, error):
     with pytest.raises(error, match=f"quadrature value {bad!r} is not finite") as study:
         quadrature_convergence_study(QuadKind.FEJER_I, f, [4, 5], ShrinkSchedule.doubling(8))
     assert str(study.value) == str(direct.value)
+
+
+def test_quad_study_stops_at_the_first_nan_interval():
+    calls = []
+
+    def f(x):  # NaN from the second interval's first node on
+        calls.append(x)
+        return math.nan if len(calls) > 4 else x
+
+    bad = TestFunction("bad", None, f, exact_integral=lambda iv: 0.0)
+    with pytest.raises(ValueError, match="^quadrature value nan is not finite$"):
+        quadrature_convergence_study(QuadKind.FEJER_I, bad, [4, 5], ShrinkSchedule.doubling(1024))
+    assert len(calls) == 2 * 4
 
 
 def test_quad_study_needs_exact_integral():

@@ -243,6 +243,13 @@ def test_input_errors_exit_one(capsys):
          "--k-range bounds must be integers, got '1..x'"),
         (["study-quad", "--rule", "f1", "--n", "4", "--m-range", "3..1"],
          "--m-range upper bound below lower bound in '3..1'"),
+        # an empty poly entry once was dropped, shifting every later coefficient
+        (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:1,,2", "--a", "0", "--b", "1"],
+         "bad polynomial coefficient list '1,,2'"),
+        (["coeffs", "--rule", "f1", "--n", "4", "--fn", "poly:1,2,", "--a", "0", "--b", "1"],
+         "bad polynomial coefficient list '1,2,'"),
+        (["quad", "--rule", "f1", "--n", "4", "--fn", "poly:", "--a", "0", "--b", "1"],
+         "poly needs at least one coefficient"),
     ],
     ids=["non-finite", "overflow", "overflow-coeffs", "overflow-coeffs-fft",
          "overflow-coeffs-fft-json", "overflow-decay-fft", "overflow-quad-both-signs",
@@ -252,7 +259,8 @@ def test_input_errors_exit_one(capsys):
          "m-poly-quad", "m-exp-coeffs", "m-exp-decay", "m-exp-composite", "patches-zero",
          "patches-negative", "p-max-zero-decay", "p-max-zero-quad", "p-max-zero-composite",
          "n-and-n-range", "neither-n", "m-and-m-range", "neither-m", "range-shape",
-         "range-not-integer", "range-reversed"],
+         "range-not-integer", "range-reversed", "poly-empty-entry", "poly-trailing-comma",
+         "poly-no-coefficients"],
 )
 def test_runtime_errors_exit_one_with_one_line(args, says, tmp_path, capsys):
     rc = main([a.format(missing_dir=tmp_path / "missing") for a in args])

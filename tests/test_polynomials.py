@@ -16,6 +16,7 @@ from localcheb import (
     gamma,
     gamma_tilde,
 )
+from localcheb.polynomials import _non_finite
 
 KINDS = list(ChebKind)
 LABELS = {k: k.value for k in KINDS}
@@ -259,3 +260,11 @@ def test_eval_cheb_trig_rejects_nan():
     for kind in KINDS:
         with pytest.raises(ValueError, match="nan"):
             eval_cheb_trig(kind, 3, math.nan)
+
+
+# an infinite value is an overflow, a NaN an invalid value
+@pytest.mark.parametrize("value, error", [(math.inf, OverflowError), (-math.inf, OverflowError),
+                                          (math.nan, ValueError)], ids=["inf", "-inf", "nan"])
+def test_non_finite_picks_the_error_by_the_value(value, error):
+    exc = _non_finite(value, "what went wrong")
+    assert type(exc) is error and str(exc) == "what went wrong"

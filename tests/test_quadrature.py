@@ -210,6 +210,28 @@ def test_an_infinite_quadrature_value_raises_overflow_whatever_its_signs(f, piec
     assert str(exc.value) == says
 
 
+@pytest.mark.parametrize("f, error, says", [
+    (lambda x: math.inf, OverflowError, "quadrature value inf is not finite"),
+    (lambda x: math.copysign(math.inf, x), OverflowError, "-inf + inf in fsum"),
+    (lambda x: math.nan, ValueError, "quadrature value nan is not finite"),
+], ids=["one-sign", "both-signs", "nan"])
+def test_integrate_keeps_its_non_finite_texts(f, error, says):
+    with pytest.raises(error) as exc:
+        integrate(QuadKind.FEJER_I, SampledFunction(f), Interval(-1.0, 1.0), 4)
+    assert type(exc.value) is error and str(exc.value) == says
+
+
+def test_a_nan_patch_sum_raises_at_its_patch():
+    part = Partition.equispaced(Interval(0.0, 1.0), 1000)
+    lo, hi = part.breakpoints[1:3]
+    # NaN on the second patch only; the 998 patches after it are never sampled
+    counter = CountingFunction(lambda x: math.nan if lo < x < hi else x)
+    with pytest.raises(ValueError) as exc:
+        integrate_composite(QuadKind.FEJER_I, SampledFunction(counter), part, 4)
+    assert str(exc.value) == "quadrature value nan is not finite"
+    assert counter.calls == 2 * 4
+
+
 def test_a_sampling_value_error_passes_unchanged():
     def f(x):
         raise ValueError("not defined here")
