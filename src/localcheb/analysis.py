@@ -210,7 +210,12 @@ class ShrinkSchedule:
 
 
 def rate(value_coarse: float, value_fine: float) -> float:
-    """log2 of the ratio of a halving pair; NaN when either side is not positive."""
+    """log2 of the ratio of a halving pair; NaN when either side is not positive.
+
+    Both sides are taken as Python floats, so a numpy scalar gives the same
+    result, and a ratio past the float range is inf without numpy's warning.
+    """
+    value_coarse, value_fine = float(value_coarse), float(value_fine)
     if value_coarse <= 0.0 or value_fine <= 0.0:
         return math.nan
     return math.log2(value_coarse / value_fine)

@@ -107,7 +107,7 @@ def _json_dumps(obj) -> str:
         raise
 
 
-_JSON_SCALARS = (str, int, float, bool, type(None))
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _json_text(obj, pad: str) -> str:
@@ -116,7 +116,7 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
         items = (f"{json.dumps(key)}: {_json_text(value, inner)}" for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, list) and obj and all(type(item) in _JSON_SCALARS for item in obj):
+    if isinstance(obj, list) and obj and set(map(type, obj)) <= _JSON_SCALARS:
         body = json.dumps(obj, allow_nan=False, separators=("," + inner, ": "))
         return "[" + inner + body[1:-1] + pad + "]"
     # json escapes every newline inside a string, so each one left starts a line
@@ -132,11 +132,8 @@ def _cmd_nodes(args) -> str | dict:
     rule = make_rule(QuadKind(args.rule), args.n)
     if args.json:
         return rule.to_json_dict()
-    lines = ["j,theta,node,weight"]
-    columns = zip(rule.theta_values, rule.node_values, rule.weight_values)
-    for j, (theta, node, weight) in enumerate(columns):
-        lines.append(f"{j},{theta:.17g},{node:.17g},{weight:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = zip(range(rule.n), rule.theta_values, rule.node_values, rule.weight_values)
+    return "j,theta,node,weight\n" + "".join(map("%d,%.17g,%.17g,%.17g\n".__mod__, rows))
 
 
 def _cmd_coeffs(args) -> str | dict:

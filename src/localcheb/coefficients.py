@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .polynomials import (ChebKind, Interval, _index, _non_finite, _recurrence, affine_map,
+from .polynomials import (ChebKind, Interval, _fold, _index, _non_finite, affine_map,
                           clamp_reference, gamma)
 from .rules import _FAMILY, QuadKind, _analysis, _Analysis, _check_n, _coeff_values, family_for_rule
 
@@ -81,17 +81,16 @@ class CoefficientSet:
     source: DiscreteRuleSource | ContinuousOracleSource
 
     def evaluate(self, t: float) -> float:
-        """Value of sum_k values[k] P_k(t) at the reference coordinate t."""
-        vals = self.values
-        total = vals[0]
-        for v, p in zip(vals[1:], _recurrence(self.family, clamp_reference(t), len(vals))[1:]):
-            total += v * p
-        return total
+        """Value of sum_k values[k] P_k(t) at the reference coordinate t.
+
+        The terms are added left to right, each as the three-term recurrence
+        reaches its degree (polynomials._fold), with no list of P_k(t).
+        """
+        return _fold(self.family, clamp_reference(t), self.values)
 
     def to_csv(self) -> str:
-        lines = ["k,value"]
-        lines.extend(f"{k},{format(v, '.17g')}" for k, v in enumerate(self.values))
-        return "\n".join(lines) + "\n"
+        """Header k,value and one row per coefficient, each formatted by one %."""
+        return "k,value\n" + "".join(map("%d,%.17g\n".__mod__, enumerate(self.values)))
 
     def to_json_dict(self) -> dict:
         src: dict
@@ -110,12 +109,17 @@ class CoefficientSet:
 def _sample_at_nodes(
     f: SampledFunction, interval: Interval, thetas: Sequence[float]
 ) -> list[float]:
+    """f at the mapped nodes cos(theta_j) as Python floats, one affine_map call per node.
+
+    Mapping, evaluation and conversion run in one pass; only a non-finite
+    sample maps its node again, to name its x in the error.
+    """
     evaluator = f.evaluator
-    xs = [affine_map(interval, math.cos(th)) for th in thetas]
-    fvals = [float(evaluator(x)) for x in xs]
+    fvals = [float(evaluator(affine_map(interval, math.cos(th)))) for th in thetas]
     if not all(map(math.isfinite, fvals)):
         j = next(j for j, v in enumerate(fvals) if not math.isfinite(v))
-        raise _non_finite(fvals[j], f"non-finite sample {fvals[j]!r} at node {j} (x = {xs[j]!r})")
+        x = affine_map(interval, math.cos(thetas[j]))
+        raise _non_finite(fvals[j], f"non-finite sample {fvals[j]!r} at node {j} (x = {x!r})")
     return fvals
 
 

@@ -6,9 +6,10 @@ Every family satisfies the same three-term recurrence
     p_{n+1}(t) = 2 t p_n(t) - p_{n-1}(t),
 
 and they differ only in the degree-1 seed: t, 2t, 2t - 1, 2t + 1.  The
-recurrence, run by ``_recurrence`` alone, is the primary evaluator of every
-module; a closed trigonometric form is provided as an independent
-cross-check.  Everything in this module is pure and thread-safe.
+recurrence, run by ``_recurrence`` (the values) and ``_fold`` (a series
+summed as it runs) alone, is the primary evaluator of every module; a
+closed trigonometric form is provided as an independent cross-check.
+Everything in this module is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Sequence
 
 __all__ = [
     "ChebKind",
@@ -191,6 +192,26 @@ def _recurrence(kind: ChebKind, t: float, count: int) -> list[float]:
     return vals
 
 
+def _fold(kind: ChebKind, t: float, values: Sequence[float]) -> float:
+    """values[0] + values[1] P_1(t) + ..., for at least one value and t in [-1, 1].
+
+    Each term is added as the recurrence of _recurrence produces its P_k(t),
+    so no list of them is built: the operations and their order are those of
+    folding over _recurrence's list, bit for bit (2 t p_n is (2 t) p_n, so
+    2 t is formed once).
+    """
+    total = values[0]
+    if len(values) > 1:
+        scale, offset = _SEED[kind]
+        prev, cur = 1.0, scale * t + offset
+        total += values[1] * cur
+        two_t = 2.0 * t
+        for v in values[2:]:
+            prev, cur = cur, two_t * cur - prev
+            total += v * cur
+    return total
+
+
 def eval_cheb_trig(kind: ChebKind, degree: int, theta: float) -> float:
     """Evaluate via the closed trigonometric form at t = cos(theta), theta in [0, pi].
 
@@ -215,6 +236,8 @@ def eval_cheb_trig(kind: ChebKind, degree: int, theta: float) -> float:
         if theta == math.pi:
             return float((-1) ** n * (2 * n + 1))
         return math.cos((n + 0.5) * theta) / math.cos(0.5 * theta)
-    if theta == 0.0:
+    # the divisor itself is tested: at theta = 5e-324, 0.5 * theta rounds to 0
+    half = math.sin(0.5 * theta)
+    if half == 0.0:
         return float(2 * n + 1)
-    return math.sin((n + 0.5) * theta) / math.sin(0.5 * theta)
+    return math.sin((n + 0.5) * theta) / half

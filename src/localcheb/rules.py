@@ -28,9 +28,17 @@ the samples (``_coeff_values``), so a study that takes coefficients on many
 intervals computes its n^2 cosines once.  The table and its math.fsum sums
 are Python floats below TRANSFORM_CUTOFF nodes and numpy arrays from it on,
 where TRANSFORM_CUTOFF degrees or more come from one real FFT instead.
-numpy is imported only by the FFTs, the array paths and accessors and the
-orthogonality helpers, so a small rule or coefficient set costs no numpy
-import.
+
+From TRANSFORM_CUTOFF nodes on, the coefficient transform's tail runs as
+arrays too: the angles (``_angle_array``, listed once by ``_angles``), the
+division by the norms (``_normalise``), the subnormal flush and one
+``.tolist()``; math.fsum reads each termwise row in place.  The bits do
+not change: converting an integer below 2**53 to float64 is exact, and
+each step is one elementwise IEEE multiply, divide or comparison, which
+numpy rounds as Python does.  tests/bit_sweep.py compares the outputs
+with a parent checkout's.  numpy is imported only by the FFTs, the array
+paths and accessors and the orthogonality helpers, so a small rule or
+coefficient set costs no numpy import.
 
 Each family's angle form P_k(cos theta) = trig((k + s) theta) / trig(s theta)
 is one row (s, trig) of a second table, and ``_norm`` gives each rule's
@@ -48,7 +56,8 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from operator import mul, truediv
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from .polynomials import ChebKind, _index, _is_array, _recurrence, clamp_reference
 
@@ -138,10 +147,28 @@ _GRID = {
 
 
 def _angles(kind: QuadKind, n: int) -> list[float]:
-    """Node angles theta_j in increasing order, as Python floats, for an n that _check_n passed."""
+    """Node angles theta_j in increasing order, as Python floats, for an n that _check_n passed.
+
+    From TRANSFORM_CUTOFF nodes on they are _angle_array's, listed once.
+    """
+    if n >= TRANSFORM_CUTOFF:
+        return _angle_array(kind, n).tolist()
     step, offset, den_scale, den_shift = _GRID[kind]
     scale = math.pi / (den_scale * n + den_shift)
     return [i * scale for i in range(offset, step * n + offset, step)]
+
+
+def _angle_array(kind: QuadKind, n: int) -> np.ndarray:
+    """The angles of _angles as a float64 array, by one multiply of the integers i by the scale.
+
+    Each i is below 2**53, so it becomes a float64 exactly, as it does in
+    Python's i * scale, before the same single multiply: the bits are those
+    of the Python-float products at every n.
+    """
+    import numpy as np
+
+    step, offset, den_scale, den_shift = _GRID[kind]
+    return np.arange(offset, step * n + offset, step) * (math.pi / (den_scale * n + den_shift))
 
 
 def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
@@ -152,9 +179,7 @@ def rule_thetas(kind: QuadKind, n: int) -> np.ndarray:
     and the benchmark's per-layer trace counts those calls.  Rule and
     coefficient construction read the Python-float angles of _angles instead.
     """
-    import numpy as np
-
-    return np.array(_angles(kind, _check_n(kind, n)))
+    return _angle_array(kind, _check_n(kind, n))
 
 
 def _period(kind: QuadKind, n: int) -> int:
@@ -264,22 +289,24 @@ def _coeff_values(table: _Analysis, fvals: Sequence[float]) -> list[float]:
     still overflow a term or a sum; every path then raises OverflowError
     naming the first degree whose coefficient is not finite.
     """
-    kind, n, ks, thetas, factors, rows = table
+    kind, n, ks, _, factors, rows = table
     if rows is None:
-        sums = _array_sums(kind, thetas, fvals, n, ks)
+        out = _normalise(kind, n, ks, _array_sums(kind, fvals, n, ks))
+        out[abs(out) < SUBNORMAL_FLUSH] = 0.0
+        out = out.tolist()
     else:
         base = [f * w for f, w in zip(fvals, factors)]
         sums = [_fsum([b * t for b, t in zip(base, row)]) for row in rows]
-    out = _normalise(kind, n, ks, sums)
+        out = [0.0 if abs(v) < SUBNORMAL_FLUSH else v for v in _normalise(kind, n, ks, sums)]
     # finite samples make a NaN coefficient only through inf - inf, so any
-    # non-finite coefficient is an overflow
+    # non-finite coefficient is an overflow; the flush leaves those as they are
     if not all(map(math.isfinite, out)):
         k = next(k for k, v in zip(ks, out) if not math.isfinite(v))
         raise OverflowError(f"coefficient of degree {k} is not finite")
-    return [0.0 if abs(v) < SUBNORMAL_FLUSH else v for v in out]
+    return out
 
 
-def _fsum(terms: list[float]) -> float:
+def _fsum(terms: Iterable[float]) -> float:
     """math.fsum, or NaN where a partial sum overflows or meets inf - inf."""
     try:
         return math.fsum(terms)
@@ -287,10 +314,8 @@ def _fsum(terms: list[float]) -> float:
         return math.nan
 
 
-def _array_sums(
-    kind: QuadKind, thetas: Sequence[float], fvals: Sequence[float], n: int, ks: Sequence[int]
-) -> list[float]:
-    """The node sums of _coeff_values from TRANSFORM_CUTOFF nodes on, over float64 arrays.
+def _array_sums(kind: QuadKind, fvals: Sequence[float], n: int, ks: Sequence[int]) -> np.ndarray:
+    """The node sums of _coeff_values from TRANSFORM_CUTOFF nodes on, as a float64 array.
 
     The analysis table is the termwise path's, formed by the same elementwise
     operations on arrays; at these sizes a Python loop over the nodes would
@@ -307,36 +332,47 @@ def _array_sums(
 
     shift, trig = _ANGLE_FORM[_FAMILY[kind]]
     trig = getattr(np, trig.__name__)
-    th, fv = np.array(thetas), np.array(fvals)
+    th, fv = _angle_array(kind, n), np.array(fvals, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        base = fv * (trig(shift * th) / shift if shift else np.array(_node_factors(kind, thetas)))
+        base = fv * (trig(shift * th) / shift if shift else np.array(_node_factors(kind, th)))
         if len(ks) < TRANSFORM_CUTOFF:
-            return [_fsum((base * trig((k + shift) * th)).tolist()) for k in ks]
+            # fsum reads each row's float64 values in place, through the buffer protocol
+            return np.array([_fsum(memoryview(base * trig((k + shift) * th))) for k in ks])
         # theta_j = theta_0 + 2 pi j / P.  A half-integer shift makes k + s a
         # whole frequency 2k + 1 of the half angles theta_j / 2, of period 2P.
         q = 2 if shift % 1 else 1
-        ms = q * np.asarray(ks) + int(q * shift)
+        # numpy reads a range one Python int at a time; arange makes the same integers at once
+        ks = np.arange(ks.start, ks.stop, ks.step) if isinstance(ks, range) else np.asarray(ks)
+        ms = q * ks + int(q * shift)
         spectrum = np.conj(np.fft.rfft(base, n=q * _period(kind, n))[ms])
         sums = np.exp(1j * (float(th[0]) / q) * ms) * spectrum
-    return (sums.real if trig is np.cos else sums.imag).tolist()
+    return sums.real if trig is np.cos else sums.imag
 
 
-def _normalise(kind: QuadKind, n: int, ks: Sequence[int], sums: Sequence[float]) -> list[float]:
+def _normalise(kind: QuadKind, n: int, ks: Sequence[int], sums: Any) -> Any:
     """The coefficients from their node sums: divide out the discrete norms N_k.
 
     N_k is the rule's norm (_norm), doubled at each degree k whose index
-    sum 2k + 2s is a multiple of the period P (every caller asks for
-    0 <= k < n).  The rules with a whole shift s (f1, cc, f2) multiply by
-    1 / N_k and the half-shift rules (f3, f4) divide by N_k; the two differ
-    in the last bit, and the goldens hold these.
+    sum 2k + 2s is a multiple of the period P.  The rules with a whole shift
+    s (f1, cc, f2) multiply by 1 / N_k and the half-shift rules (f3, f4)
+    divide by N_k; the two differ in the last bit, and the goldens hold
+    these.  sums is a list of Python floats, or from TRANSFORM_CUTOFF on a
+    float64 array, scaled by one array operation: an elementwise IEEE
+    multiply or divide gives the bits of the Python float one.  Every caller
+    asks for distinct degrees 0 <= k < n.  P is 2n (f1), 2n - 2 (cc),
+    2n + 2 (f2) or 2n + 1 (f3, f4), so 2k + 2s in [2s, 2n - 2 + 2s] is a
+    multiple of P only at k = 0 (f1, cc) and k = n - 1 (cc): only those two
+    degrees are tested.
     """
     norm, period = _norm(kind, n), _period(kind, n)
     two_s = int(2 * _ANGLE_FORM[_FAMILY[kind]][0])
-    doubled = [(2 * k + two_s) % period == 0 for k in ks]
-    if two_s % 2:
-        return [v / (2 * norm if d else norm) for d, v in zip(doubled, sums)]
-    once, twice = 1 / norm, 1 / (2 * norm)
-    return [(twice if d else once) * v for d, v in zip(doubled, sums)]
+    op, once, twice = (truediv, norm, 2 * norm) if two_s % 2 else (mul, 1 / norm, 1 / (2 * norm))
+    out = op(sums, once) if _is_array(sums) else [op(v, once) for v in sums]
+    for k in {0, n - 1}:
+        if (2 * k + two_s) % period == 0 and k in ks:
+            i = ks.index(k)
+            out[i] = op(sums[i], twice)
+    return out
 
 
 def _read_only(values: tuple[float, ...]) -> np.ndarray:

@@ -33,6 +33,22 @@ def trig_eval_angle(label: str, n: int, theta: float) -> float:
     raise ValueError(label)
 
 
+def recurrence_fold(label: str, values, t: float) -> float:
+    """sum_k values[k] P_k(t): the list P_0(t)..P_{K}(t) of the recurrence first, then a left fold.
+
+    This is the form CoefficientSet.evaluate had before it folded inside the
+    recurrence loop; the two must agree bit for bit for t in [-1, 1].
+    """
+    scale, offset = SEEDS[label]
+    ps = [1.0, scale * t + offset][: len(values)]
+    while len(ps) < len(values):
+        ps.append(2.0 * t * ps[-1] - ps[-2])
+    total = values[0]
+    for v, p in zip(values[1:], ps[1:]):
+        total += v * p
+    return total
+
+
 def lagrange_node_product(nodes, j: int, t: float) -> float:
     """Cardinal polynomial of node j by the direct product formula."""
     acc = 1.0

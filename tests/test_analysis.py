@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import oracles
@@ -45,6 +46,19 @@ def test_rate_reference_pairs():
     assert math.isnan(rate(0.0, 1.0))
     assert math.isnan(rate(1.0, 0.0))
     assert math.isnan(rate(-1.0, 2.0))
+
+
+def test_rate_takes_numpy_scalars_as_python_floats():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rate(np.float64(1e308), 5e-324) == math.inf
+        assert rate(1e308, np.float64(5e-324)) == math.inf
+    for coarse, fine in [(8.0, 2.0), (4.80e-3, 1.20e-3), (1.0, 3.0)]:
+        want = rate(coarse, fine)
+        for got in (rate(np.float64(coarse), fine), rate(np.float32(coarse), np.float64(fine))):
+            assert type(got) is float
+        assert rate(np.float64(coarse), np.float64(fine)) == want
+    assert math.isnan(rate(np.float64(-1.0), 2.0))
 
 
 def test_theoretical_decay_rate():

@@ -7,7 +7,9 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,6 +356,41 @@ _JSON_VALUE = st.recursive(
 @given(_JSON_VALUE)
 def test_json_dumps_matches_the_indented_encoder(obj):
     assert cli._json_dumps(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_json_text_of_a_scalar_list_is_the_indented_encoders(items):
+    assert cli._json_text(items, "\n") == json.dumps(items, indent=2)
+
+
+@pytest.mark.parametrize("items", [
+    [1, np.float64(0.5), "a"],  # a float subclass is not a JSON scalar type here
+    [True, None, [1.5, "b"], 2],
+    [[]],
+], ids=["numpy-float", "nested-list", "empty-list"])
+def test_json_text_fallback_lists_are_the_indented_encoders(items):
+    assert not set(map(type, items)) <= cli._JSON_SCALARS
+    assert cli._json_text(items, "\n") == json.dumps(items, indent=2)
+
+
+# any float, with the signed zero, the smallest subnormal and both largest floats drawn often
+_CSV_FLOAT = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]) | st.floats()
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_CSV_FLOAT, _CSV_FLOAT, _CSV_FLOAT), min_size=1, max_size=40))
+def test_nodes_csv_is_the_per_value_format_text(rows):
+    thetas, nodes, weights = zip(*rows)
+    rule = types.SimpleNamespace(n=len(rows), theta_values=thetas, node_values=nodes,
+                                 weight_values=weights)
+    with mock.patch.object(cli, "make_rule", return_value=rule):
+        got = cli._cmd_nodes(argparse.Namespace(rule="f1", n=len(rows), json=False))
+    lines = ["j,theta,node,weight"]
+    for j, (theta, node, weight) in enumerate(rows):
+        lines.append(f"{j},{theta:.17g},{node:.17g},{weight:.17g}")
+    assert got == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from localcheb import coefficients, rules
@@ -329,6 +331,19 @@ def test_evaluate_matches_direct_family_sum():
 def test_single_coefficient_evaluate():
     cs = CoefficientSet(ChebKind.FIRST, Interval(0.0, 1.0), (2.5,), DiscreteRuleSource(QuadKind.FEJER_I, 1))
     assert cs.evaluate(0.7) == 2.5
+
+
+# any float, with the signed zero, the smallest subnormal and both largest floats drawn often
+CSV_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]) | st.floats()
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(CSV_FLOATS, min_size=1, max_size=40))
+def test_to_csv_is_the_per_value_format_text(values):
+    cs = CoefficientSet(ChebKind.FIRST, Interval(0.0, 1.0), tuple(values), None)
+    lines = ["k,value"]
+    lines.extend(f"{k},{format(v, '.17g')}" for k, v in enumerate(values))
+    assert cs.to_csv() == "\n".join(lines) + "\n"
 
 
 def test_frozen_cc_coefficients_of_exp():

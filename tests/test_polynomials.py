@@ -97,6 +97,12 @@ def test_endpoint_values():
         assert eval_cheb_trig(ChebKind.FOURTH, n, 0.0) == 2 * n + 1
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
+def test_fourth_kind_at_the_smallest_angle_is_its_endpoint_value(n):
+    # 0.5 * 5e-324 rounds to 0, so the divisor sin(theta / 2) is 0 while theta is not
+    assert eval_cheb_trig(ChebKind.FOURTH, n, 5e-324) == eval_cheb(ChebKind.FOURTH, n, 1.0) == 2 * n + 1
+
+
 def test_third_fourth_product_is_second_kind():
     # V_n(t) W_n(t) = U_{2n}(t), a cross-family identity that exercises all
     # three quotient forms at once

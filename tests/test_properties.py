@@ -12,7 +12,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from localcheb import (
+    ChebKind,
+    CoefficientSet,
     Interval,
     Partition,
     QuadKind,
@@ -133,3 +136,25 @@ def test_affine_inverse_undoes_affine_map(iv, t):
     # h; measured at most 1.0 of this bound
     back = affine_inverse(iv, affine_map(iv, t))
     assert abs(back - t) <= 4 * EPS * (1.0 + (abs(iv.a) + abs(iv.b)) / iv.h)
+
+
+# the reference coordinates every evaluation must handle, beside any in [-1, 1]
+EDGE_TS = [1.0, -1.0, 0.0, -0.0, 1e-300, -1e-300]
+
+
+@st.composite
+def series(draw) -> tuple[ChebKind, tuple[float, ...]]:
+    n = draw(st.sampled_from([1, 2, 3, 5, 16, 63, 64, 65, 200]))
+    value = st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False)
+    return draw(st.sampled_from(list(ChebKind))), tuple(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+@PROPERTY
+@given(series(), st.sampled_from(EDGE_TS) | st.floats(-1.0, 1.0))
+@example((ChebKind.FOURTH, (0.5, -0.25, 2.0)), -0.0)
+@example((ChebKind.FIRST, (-0.0,)), 0.5)
+def test_evaluate_is_the_list_then_fold_sum_bit_for_bit(family_values, t):
+    family, values = family_values
+    got = CoefficientSet(family, Interval(-1.0, 1.0), values, None).evaluate(t)
+    # repr tells -0.0 from 0.0 and matches NaN with NaN (huge values overflow to inf - inf)
+    assert repr(got) == repr(oracles.recurrence_fold(family.value, values, t))

@@ -143,6 +143,41 @@ def test_fft_weights_match_exact_sums(kind, monkeypatch):
         assert np.max(np.abs(fast - exact)) <= 2e-16, n
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_array_angles_equal_the_python_float_products(kind):
+    # from the cutoff on the angles are one array multiply; the Python-float
+    # form i * scale is the referee, bit for bit, and the array form gives it at any n
+    step, offset, den_scale, den_shift = rules._GRID[kind]
+    for n in [*range(kind.min_nodes, TRANSFORM_CUTOFF), 64, 65, 127, 1000, 4096, 8192]:
+        scale = math.pi / (den_scale * n + den_shift)
+        want = [i * scale for i in range(offset, step * n + offset, step)]
+        got = rules._angles(kind, n)
+        assert got == want and {type(th) for th in got} == {float}, n
+        assert rules._angle_array(kind, n).tolist() == want == rule_thetas(kind, n).tolist(), n
+
+
+def _per_degree_normalise(kind, n, ks, sums):
+    """The norm rule degree by degree, each degree tested for a doubled norm."""
+    norm, period = rules._norm(kind, n), rules._period(kind, n)
+    two_s = int(2 * rules._ANGLE_FORM[rules._FAMILY[kind]][0])
+    doubled = [(2 * k + two_s) % period == 0 for k in ks]
+    if two_s % 2:
+        return [v / (2 * norm if d else norm) for d, v in zip(doubled, sums)]
+    return [(1 / (2 * norm) if d else 1 / norm) * v for d, v in zip(doubled, sums)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_normalise_tests_only_the_degrees_that_can_alias(kind):
+    # every degree 0 <= k < n, as a list and as an array, for the degree sets callers pass
+    rng = np.random.default_rng(5)
+    for n in [*range(kind.min_nodes, 70), 127, 128, 1000, 4096]:
+        for ks in (range(n), range(min(n, 7)), sorted({0, n - 1}), sorted({n // 2, n - 1})):
+            sums = rng.standard_normal(len(ks)).tolist()
+            want = _per_degree_normalise(kind, n, ks, sums)
+            assert rules._normalise(kind, n, ks, sums) == want, (n, ks)
+            assert rules._normalise(kind, n, ks, np.array(sums)).tolist() == want, (n, ks)
+
+
 def test_make_rule_returns_one_shared_rule():
     for kind in ALL_KINDS:
         assert make_rule(kind, 8) is make_rule(kind, 8)
