@@ -426,8 +426,8 @@ def quadrature_convergence_study(
     Requires f.exact_integral; the error floor is FLOOR_SCALE * (1 + |exact|)
     per step.  ns is one node count (any integer) or an iterable of them.
 
-    The schedule's intervals, widths and exact integrals are built once per
-    call.  Each node count builds its rule once and takes the weighted sums
+    The schedule's intervals, their ends, widths and exact integrals are
+    built once per call.  Each node count builds its rule once and takes the weighted sums
     on every interval of the schedule in one pass of integrate's patch-sum
     path, so every error, and the message a non-finite sum raises at the
     first interval it meets, is integrate's bit for bit.
@@ -440,11 +440,12 @@ def quadrature_convergence_study(
     evaluator = f.sampled().evaluator
     ps = schedule.p_values
     intervals = [ShrinkSchedule.interval(p) for p in ps]
+    ends = [(iv.a, iv.b) for iv in intervals]
     widths = [ShrinkSchedule.h(p) for p in ps]
     exacts = [exact(iv) for iv in intervals]
     rows: list[QuadRow] = []
     for n in n_list:
-        values = _patch_sums(make_rule(kind, n), evaluator, intervals)
+        values = _patch_sums(make_rule(kind, n), evaluator, ends)
         rows += _quad_rows(kind, f, n, zip(ps, widths, exacts, values), False)
     return _report("quad", rows)
 

@@ -89,6 +89,10 @@ class ChebKind(Enum):
     THIRD = "V"
     FOURTH = "W"
 
+    # members are singletons and compare by identity, so the identity hash
+    # agrees with ==; it is C-level, where Enum.__hash__ is a Python call
+    __hash__ = object.__hash__
+
 
 # degree-1 recurrence seed, as (scale, offset) in p_1(t) = scale * t + offset
 _SEED = {
@@ -139,8 +143,9 @@ def clamp_reference(t: float) -> float:
 def affine_map(interval: Interval, t: float) -> float:
     """Map the reference coordinate t in [-1, 1] onto [a, b].
 
-    Called once per sampled node, so it reads the endpoints directly, and
-    calls clamp_reference only for a t outside [-1, 1] (NaN included, which
+    Called once per sampled node, so it reads only the endpoints a and b of
+    interval (any object with those two fields will do), and calls
+    clamp_reference only for a t outside [-1, 1] (NaN included, which
     it rejects); the expression is 0.5 * h * t + midpoint in the same order,
     bit for bit.
     """

@@ -10,9 +10,13 @@ one-patch case of that path, so the two entry points agree to the bit.  The
 quadrature convergence study shares the same path too: one patch-sum call per
 node count covers every interval of its shrink schedule.
 
-The patch sums are streamed: each patch is built and sampled only when the
-sum reaches it, so a composite run holds its breakpoints and one patch,
-and nothing else that grows with the number of patches.  The command line's
+Each patch reaches that path as its two float ends (a, b), with no Interval
+built per patch: every caller passes the ends of a checked interval or
+partition, so the one check a patch still needs is that a + b is finite.
+
+The patch sums are streamed: each patch is sampled only when the sum reaches
+it, so a composite run holds its breakpoints and one patch, and nothing
+else that grows with the number of patches.  The command line's
 ``quad`` and ``study-composite`` stream their equispaced breakpoints too, so
 their memory does not depend on ``--patches``: Partition.equispaced holds
 the streamed partition's points as a tuple, one check proves them strictly
@@ -71,6 +75,7 @@ class Partition:
         return len(self.breakpoints) - 1
 
     def patches(self) -> list[Interval]:
+        """Each patch as an Interval, for library users; the composite sum reads the breakpoints."""
         return [Interval(lo, hi) for lo, hi in itertools.pairwise(self.breakpoints)]
 
 
@@ -128,26 +133,44 @@ class QuadResult:
     evaluations: int
 
 
+class _Patch:
+    """The ends of the patch being summed: the only fields affine_map reads of an Interval."""
+
+    __slots__ = ("a", "b")
+
+
 def _patch_sums(
-    rule: QuadratureRule, f: Callable[[float], float], patches: Iterable[Interval]
+    rule: QuadratureRule, f: Callable[[float], float], patches: Iterable[tuple[float, float]]
 ) -> Iterator[float]:
-    """The rule's weighted sum on each patch, each reduced exactly with math.fsum.
+    """The rule's weighted sum on each patch (a, b), each reduced exactly with math.fsum.
 
     The rule holds its nodes and weights as Python floats, so each node
-    costs one affine_map call, one evaluation and one multiply.  The sums
-    come from an iterator, to be consumed once: a patch is sampled only when
-    its sum is asked for, so no list of P sums is held.  Each sum is checked
-    here and nowhere else: an infinite one raises OverflowError, whatever
-    the signs of its terms (math.fsum's "-inf + inf" ValueError is raised
-    as that OverflowError), and a NaN one ValueError, at its patch.  Every
-    sum yielded is finite, so math.fsum over them returns a finite total or
-    raises OverflowError itself.
+    costs one affine_map call, one evaluation and one multiply.  One _Patch
+    takes each patch's ends in turn, and the sum is scaled by 0.5 * (b - a),
+    which is 0.5 * Interval(a, b).h.  Every caller passes the ends of a
+    checked Interval or partition, so a < b, both are finite, and b - a, at
+    most the whole width, is finite too.  Only a + b can overflow (the
+    first of two patches of Interval(-1.7e308, 1e-300)), so that is the one
+    check per patch; where it fails, Interval(a, b) raises its own "too
+    wide" error at that patch's turn.
+
+    The sums come from an iterator, to be consumed once: a patch is sampled
+    only when its sum is asked for, so no list of P sums is held.  Each sum
+    is checked here and nowhere else: an infinite one raises OverflowError,
+    whatever the signs of its terms (math.fsum's "-inf + inf" ValueError is
+    raised as that OverflowError), and a NaN one ValueError, at its patch.
+    Every sum yielded is finite, so math.fsum over them returns a finite
+    total or raises OverflowError itself.
     """
     tw = list(zip(rule.node_values, rule.weight_values))
-    for patch in patches:
+    patch = _Patch()
+    for a, b in patches:
+        if not math.isfinite(a + b):  # the one check a caller's ends can fail
+            Interval(a, b)
+        patch.a, patch.b = a, b
         terms = [w * float(f(affine_map(patch, t))) for t, w in tw]
         try:
-            total = 0.5 * patch.h * math.fsum(terms)
+            total = 0.5 * (b - a) * math.fsum(terms)
         except ValueError as exc:
             raise OverflowError(*exc.args) from None
         if not math.isfinite(total):
@@ -157,7 +180,7 @@ def _patch_sums(
 
 def integrate(kind: QuadKind, f: SampledFunction, interval: Interval, n: int) -> QuadResult:
     """Apply the n-point rule of the given kind once over the whole interval."""
-    value = math.fsum(_patch_sums(make_rule(kind, n), f.evaluator, (interval,)))
+    value = math.fsum(_patch_sums(make_rule(kind, n), f.evaluator, ((interval.a, interval.b),)))
     return QuadResult(value=value, kind=kind, n=n, evaluations=n)
 
 
@@ -167,16 +190,16 @@ def integrate_composite(
     """Apply the n-point rule on every patch of the partition and sum.
 
     integrate() is the one-patch case of the same sum, so a single patch
-    reproduces it bit for bit.  Each patch is built, sampled and added to
-    the running math.fsum in turn, so beyond the partition's breakpoints
-    the run holds one patch at a time, whatever the number of patches.
+    reproduces it bit for bit.  Each patch, a pair of neighbouring
+    breakpoints, is sampled and added to the running math.fsum in turn, so
+    beyond the partition's breakpoints the run holds one patch at a time,
+    whatever the number of patches.
     The command line's quad and study-composite pass a partition that
     streams its equispaced breakpoints, so they hold memory independent of
     --patches.
     """
     rule = make_rule(kind, n)
-    patches = itertools.starmap(Interval, itertools.pairwise(partition.breakpoints))
-    value = math.fsum(_patch_sums(rule, f.evaluator, patches))
+    value = math.fsum(_patch_sums(rule, f.evaluator, itertools.pairwise(partition.breakpoints)))
     return QuadResult(value=value, kind=kind, n=n, evaluations=n * partition.pieces)
 
 

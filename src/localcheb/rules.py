@@ -85,6 +85,9 @@ class QuadKind(Enum):
     FEJER_III = "f3"
     FEJER_IV = "f4"
 
+    # as ChebKind: identity equality, so the C-level identity hash
+    __hash__ = object.__hash__
+
     @property
     def min_nodes(self) -> int:
         """Smallest admissible n: 2 for cc (needs both endpoints), 1 otherwise."""

@@ -2,14 +2,17 @@
 
 Prints one sha256 per output family: rules, discrete and continuous
 coefficients, closed-form orthogonality, family matrices,
-lagrange_basis_eval, CoefficientSet.evaluate and theoretical_order.  Node
-counts run up to 2048, so the FFT paths (n >= TRANSFORM_CUTOFF) are covered
-as well as the termwise ones.
+lagrange_basis_eval, CoefficientSet.evaluate, theoretical_order and
+quadrature (integrate_composite over 1 to 1025 equispaced patches, one
+uneven partition and one quadrature convergence study).  Node counts run up
+to 2048, so the FFT paths (n >= TRANSFORM_CUTOFF) are covered as well as
+the termwise ones.
 
 This is a comparison tool, not a golden: FFT results may differ in the last
 bit from one platform or numpy build to another.  To check that a change
 keeps every output, run it on the parent checkout and on the change, on the
-same machine, and compare the two printouts:
+same machine, and compare the two printouts family by family (a family
+the parent does not print is new, not a difference):
 
     PYTHONPATH=src python3 tests/bit_sweep.py
 
@@ -25,15 +28,19 @@ from localcheb import (
     ChebKind,
     CoefficientSet,
     Interval,
+    Partition,
     QuadKind,
     SampledFunction,
+    ShrinkSchedule,
     closed_form_orthogonality,
     continuous_coeffs,
     discrete_coeffs,
     family_for_rule,
+    integrate_composite,
     lagrange_basis_eval,
     make_rule,
     power_abs_exp,
+    quadrature_convergence_study,
     theoretical_order,
 )
 from localcheb.rules import _family_matrix, rule_thetas
@@ -52,10 +59,28 @@ def _feed(h, values) -> None:
     h.update(np.asarray(values, dtype=float).tobytes())
 
 
+def _quadrature(h) -> None:
+    """integrate_composite's value as float.hex, per rule, n, patch count, function and interval."""
+    fns = [SampledFunction(math.exp)] + [power_abs_exp(m).sampled() for m in (0, 3)]
+    uneven = Partition(INTERVALS[1], (-0.5, -0.4999999999, -1e-300, 0.0, 5e-324, 0.3, 0.999, 1.0))
+    for kind in QuadKind:
+        for n in (2, 5, 64):
+            for iv in INTERVALS[1:]:
+                for pieces in (1, 3, 64, 1025):
+                    part = Partition.equispaced(iv, pieces)
+                    for f in fns:
+                        h.update(integrate_composite(kind, f, part, n).value.hex().encode())
+            for f in fns:
+                h.update(integrate_composite(kind, f, uneven, n).value.hex().encode())
+    study = quadrature_convergence_study(
+        QuadKind.FEJER_I, power_abs_exp(3), range(1, 17), ShrinkSchedule.doubling(1 << 20))
+    h.update(study.to_csv().encode())
+
+
 def sweep() -> dict[str, str]:
     h = {name: hashlib.sha256() for name in (
         "rules", "discrete_coeffs", "continuous_coeffs", "closed_form",
-        "family_matrix", "lagrange_basis_eval", "evaluate", "theoretical_order")}
+        "family_matrix", "lagrange_basis_eval", "evaluate", "theoretical_order", "quadrature")}
     for kind in QuadKind:
         family = family_for_rule(kind)
         for n in _ns(kind):
@@ -88,6 +113,7 @@ def sweep() -> dict[str, str]:
     for family in ChebKind:
         cs = CoefficientSet(family, INTERVALS[0], values, None)
         _feed(h["evaluate"], [cs.evaluate(float(t)) for t in np.linspace(-1.0, 1.0, 257)])
+    _quadrature(h["quadrature"])
     return {name: d.hexdigest() for name, d in h.items()}
 
 

@@ -143,25 +143,42 @@ def equispaced_breakpoints(a: float, b: float, pieces: int) -> tuple:
     return tuple(bp)
 
 
-def composite_reference(kind, f, a: float, b: float, pieces: int, n: int) -> float:
-    """Composite quadrature written out term by term, for bit-for-bit comparison.
+def partition_reference(kind, f, breakpoints, n: int) -> float:
+    """Composite quadrature over any breakpoints, written out term by term.
 
-    Equispaced breakpoints with exact ends, each rule node mapped by
-    0.5 * (hi - lo) * t + 0.5 * (lo + hi), one math.fsum per patch scaled by
-    half the patch width, and one math.fsum over the patches.
+    Each patch is built as an Interval, which raises its own error for a
+    patch too wide for floating point, at that patch's turn; each rule node
+    is mapped by 0.5 * (hi - lo) * t + 0.5 * (lo + hi), the patch's terms
+    are reduced with one math.fsum scaled by half the patch width, and the
+    patch sums with one more math.fsum.  A patch sum that is not finite
+    raises OverflowError (inf, or fsum's "-inf + inf") or ValueError (NaN)
+    at its patch, with the package's texts.
     """
-    from localcheb import make_rule
+    from localcheb import Interval, make_rule
 
     rule = make_rule(kind, n)
-    bp = equispaced_breakpoints(a, b, pieces)
     sums = []
-    for lo, hi in zip(bp, bp[1:]):
+    for lo, hi in zip(breakpoints, breakpoints[1:]):
+        Interval(lo, hi)
         terms = []
         for t, w in zip(rule.nodes, rule.weights):
             x = 0.5 * (hi - lo) * float(t) + 0.5 * (lo + hi)
             terms.append(float(w) * float(f(x)))
-        sums.append(0.5 * (hi - lo) * math.fsum(terms))
+        try:
+            total = 0.5 * (hi - lo) * math.fsum(terms)
+        except ValueError as exc:
+            raise OverflowError(*exc.args) from None
+        if math.isinf(total):
+            raise OverflowError(f"quadrature value {total!r} is not finite")
+        if math.isnan(total):
+            raise ValueError(f"quadrature value {total!r} is not finite")
+        sums.append(total)
     return math.fsum(sums)
+
+
+def composite_reference(kind, f, a: float, b: float, pieces: int, n: int) -> float:
+    """partition_reference over equispaced breakpoints with exact ends."""
+    return partition_reference(kind, f, equispaced_breakpoints(a, b, pieces), n)
 
 
 def quad_study_reference(kind, f, ns, schedule):

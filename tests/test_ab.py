@@ -67,7 +67,8 @@ def test_op_time_takes_each_ops_minimum_over_alternating_fresh_runs(monkeypatch)
     record = ab.op_time({side: side for side in ab.SIDES}, "w", 3)
     assert calls[:4] == ["parent", "change", "change", "parent"]
     assert len(calls) == 2 * ab.OP_TIME_REPEATS
-    assert (record["seed"], record["repeats"]) == (3, ab.OP_TIME_REPEATS)
+    assert (record["seed"], record["repeats"], record["samples"]) == (
+        3, ab.OP_TIME_REPEATS, ab.OP_TIME_SAMPLES)
     rows = {row["op"]: row for row in record["ops"]}
     assert [row["op"] for row in record["ops"]] == ["d", "c", "b", "a"]  # slowest parent op first
     assert rows["b"]["parent_ms"] == pytest.approx(4.0 * 1.1)
@@ -76,6 +77,38 @@ def test_op_time_takes_each_ops_minimum_over_alternating_fresh_runs(monkeypatch)
     # the nearest-rank median of four ops is the second fastest, as bench/run.py takes p50
     assert record["median_op"]["parent"] == {"op": "b", "ms": pytest.approx(4.4)}
     assert record["median_op"]["change"]["op"] == "b"
+
+
+_STUB_RUN = """
+import types
+
+class Op:
+    def __init__(self, name):
+        self.name = name
+
+opsmod = types.SimpleNamespace(generate=lambda workload, seed: [Op("a"), Op("b")])
+# per op, its seconds in call order: the untimed round first, then the timed ones
+TIMES = %r
+
+def _load_package():
+    return None
+
+def _run_op(op, lib):
+    return TIMES[op.name].pop(0), 0, ""
+"""
+
+
+def test_op_time_script_takes_each_ops_minimum_over_its_timed_rounds(tmp_path):
+    # the untimed round is the fastest of all and must never count; the
+    # fastest timed round of "a" is the last, so every timed round must run,
+    # and a round beyond them would pop an empty list and fail the script
+    timed = ab.OP_TIME_SAMPLES
+    times = {"a": [1e-6] + [0.010 - 0.001 * i for i in range(timed)],
+             "b": [1e-6, 0.003] + [0.005] * (timed - 1)}
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(_STUB_RUN % times)
+    got = ab._op_script(tmp_path, ab._OP_TIME_SCRIPT, "w", 3)
+    assert got == [["a", 0.010 - 0.001 * (timed - 1)], ["b", 0.003]]
 
 
 def test_op_time_refuses_rounds_of_different_ops():

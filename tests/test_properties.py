@@ -9,7 +9,8 @@ import sys
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -73,6 +74,49 @@ def test_evaluator_runs_once_per_node_and_patch(iv, rule, pieces):
 
     res = integrate_composite(kind, SampledFunction(counted), Partition.equispaced(iv, pieces), n)
     assert len(calls) == res.evaluations == n * pieces
+
+
+HUGE = 1.7e308
+
+
+@st.composite
+def breakpoint_sets(draw) -> tuple[float, ...]:
+    """Strictly increasing breakpoints of a valid interval, at ordinary, huge
+    (near +-1.7e308) and subnormal magnitudes, with runs of neighbouring floats."""
+    point = (st.floats(-1e3, 1e3) | st.floats(-HUGE, HUGE) | st.floats(-1e-307, 1e-307)
+             | st.sampled_from([-HUGE, -0.85 * HUGE, 0.0, 5e-324, 1e-300, 0.9 * HUGE, HUGE]))
+    xs = draw(st.lists(point, min_size=1, max_size=10))
+    for x in list(xs):
+        # one-ulp gaps, subnormal ones near 0
+        for _ in range(draw(st.integers(0, 2))):
+            x = math.nextafter(x, math.inf)
+            xs.append(x)
+    bp = tuple(sorted(set(xs)))
+    # drop the larger end until the whole interval is valid
+    while len(bp) > 1 and not (math.isfinite(bp[-1] - bp[0]) and math.isfinite(bp[0] + bp[-1])):
+        bp = bp[1:] if abs(bp[0]) > abs(bp[-1]) else bp[:-1]
+    assume(len(bp) > 1)
+    return bp
+
+
+@PROPERTY
+@given(breakpoint_sets(), st.sampled_from(list(QuadKind)), st.integers(1, 16))
+# a + b overflows on the first patch, then on the third: Interval's "too
+# wide" error at that patch's turn
+@example((-HUGE, -0.5 * HUGE, 1e-300), QuadKind.FEJER_I, 4)
+@example((-1.0, 0.0, 1.6e308, HUGE), QuadKind.CLENSHAW_CURTIS, 2)
+@example((0.0, 5e-324, 1e-323, 1.5e-323), QuadKind.FEJER_IV, 16)
+def test_composite_is_the_per_patch_interval_sum_bit_for_bit(bp, kind, n):
+    n = max(n, kind.min_nodes)
+    part, f = Partition(Interval(bp[0], bp[-1]), bp), SampledFunction(math.atan)
+    try:
+        want = oracles.partition_reference(kind, math.atan, bp, n)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as got:
+            integrate_composite(kind, f, part, n)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert integrate_composite(kind, f, part, n).value.hex() == want.hex()
 
 
 @PROPERTY

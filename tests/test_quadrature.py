@@ -194,6 +194,17 @@ def test_composite_keeps_per_patch_overflow_check():
         integrate_composite(QuadKind.FEJER_I, EXP, part, 4)
 
 
+def test_too_wide_patch_raises_in_its_turn():
+    # the first two patches are sampled; the third's a + b overflows, and it
+    # raises Interval's own error before any of its nodes is sampled
+    part = Partition(Interval(-1.0, 1.7e308), (-1.0, 0.0, 1.6e308, 1.7e308))
+    counter = CountingFunction(lambda x: 0.0)
+    with pytest.raises(ValueError) as exc:
+        integrate_composite(QuadKind.FEJER_I, SampledFunction(counter), part, 4)
+    assert str(exc.value) == "interval [1.6e+308, 1.7e+308] is too wide for floating point"
+    assert counter.calls == 2 * 4
+
+
 @pytest.mark.parametrize("f, pieces, says", [
     (lambda x: math.inf, 1, "quadrature value inf is not finite"),
     # the first patch is all -inf; the error comes before the second is sampled

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import oracles
 from localcheb import rules
 from localcheb import (
+    ChebKind,
     QuadKind,
     eval_cheb,
     eval_cheb_trig,
@@ -205,6 +207,23 @@ def test_cached_rules_equal_fresh_builds_bit_for_bit():
             assert cached is not fresh
             for name in ("thetas", "nodes", "weights"):
                 assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), (kind, n, name)
+
+
+@pytest.mark.parametrize("member", [*ChebKind, *QuadKind], ids=repr)
+def test_enum_members_pickle_and_key_by_identity(member):
+    # the identity hash: a round trip through pickle and a lookup by value
+    # give the member itself, so it keys a dict as before
+    cls = type(member)
+    assert pickle.loads(pickle.dumps(member)) is member is cls(member.value)
+    assert hash(pickle.loads(pickle.dumps(member))) == hash(member)
+    table = {m: m.value for m in cls}
+    assert table[member] == member.value and table[cls(member.value)] == member.value
+    if cls is QuadKind:
+        n = member.min_nodes + 3
+        make_rule(member, n)
+        before = rules._build_rule.cache_info().hits
+        assert make_rule(pickle.loads(pickle.dumps(member)), n) is make_rule(member, n)
+        assert rules._build_rule.cache_info().hits == before + 2
 
 
 def test_invalid_rule_request_raises_every_time():

@@ -23,9 +23,11 @@ side, right after the benchmark's own imports, and records how far each
 operation raised the peak RSS.  Each ``--op-time`` runs a workload in
 OP_TIME_REPEATS fresh processes per side, alternating which side goes first:
 each process runs one untimed round, so that caches stand as the benchmark's
-loop finds them, then times the same round op by op with the benchmark's own
-op runner.  It records each op's minimum time per side over the repeats, the
-change's fraction, and the median op of each side, the one that sets
+loop finds them, then times OP_TIME_SAMPLES more rounds op by op with the
+benchmark's own op runner and keeps each op's minimum, since on a shared
+host one timed sample per process does not give even the sign of a change.
+It records each op's minimum time per side over the repeats, the change's
+fraction, and the median op of each side, the one that sets
 ``latency_p50_ms`` in a loop of whole rounds.
 
 The output holds every run's result line and the tail percentile it names,
@@ -64,6 +66,7 @@ SIDES = ("parent", "change")
 PAIRS = 10
 CLI_RUNS = 12
 OP_TIME_REPEATS = 5
+OP_TIME_SAMPLES = 5
 _TAIL = re.compile(r"latency_tail_ms p(\S+) of (\d+) ops")
 
 # Runs in a fresh interpreter with cwd at a tree's root: one round of a
@@ -82,8 +85,8 @@ for op in run.opsmod.generate(sys.argv[1], int(sys.argv[2])):
 print(json.dumps(steps))
 """
 
-# The same start, then one untimed round and one round timed op by op:
-# [op name, seconds] per op as one JSON list.
+# The same start, then one untimed round and OP_TIME_SAMPLES rounds timed op
+# by op: [op name, its fastest timed seconds] per op as one JSON list.
 _OP_TIME_SCRIPT = """
 import json, sys
 sys.path.insert(0, "bench")
@@ -92,8 +95,9 @@ lib = run._load_package()
 ops = run.opsmod.generate(sys.argv[1], int(sys.argv[2]))
 for op in ops:
     run._run_op(op, lib)
-print(json.dumps([[op.name, run._run_op(op, lib)[0]] for op in ops]))
-"""
+rounds = [[run._run_op(op, lib)[0] for op in ops] for _ in range(%d)]
+print(json.dumps([[op.name, min(times)] for op, times in zip(ops, zip(*rounds))]))
+""" % OP_TIME_SAMPLES
 
 
 def _git(*args: str, env: dict[str, str] | None = None) -> str:
@@ -173,12 +177,14 @@ def op_rss(tree: Path, workload: str, seed: int) -> list:
 
 
 def op_time(trees: dict[str, Path], workload: str, seed: int) -> dict:
-    """Each op's minimum time per side over OP_TIME_REPEATS alternating fresh processes."""
+    """Each op's minimum time per side over OP_TIME_REPEATS alternating fresh processes,
+    each process's own minimum over OP_TIME_SAMPLES timed rounds."""
     runs: dict[str, list] = {side: [] for side in SIDES}
     for _, order in _orders(OP_TIME_REPEATS):
         for side in order:
             runs[side].append(_op_script(trees[side], _OP_TIME_SCRIPT, workload, seed))
-    return {"seed": seed, "repeats": OP_TIME_REPEATS, **summarise_op_times(runs)}
+    return {"seed": seed, "repeats": OP_TIME_REPEATS, "samples": OP_TIME_SAMPLES,
+            **summarise_op_times(runs)}
 
 
 def summarise_op_times(runs: dict[str, list]) -> dict:
@@ -313,7 +319,8 @@ def measure(args, trees: dict[str, Path], tree_ids: dict[str, str]) -> dict:
     record["op_time"] = {}
     for workload in args.op_time:
         record["op_time"][workload] = op_time(trees, workload, args.seed[0])
-        _log(f"op-time {workload}: {OP_TIME_REPEATS} rounds per side")
+        _log(f"op-time {workload}: {OP_TIME_REPEATS} processes of {OP_TIME_SAMPLES} timed rounds "
+             "per side")
     return record
 
 
@@ -330,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--op-rss", action="append", default=[], metavar="WORKLOAD",
                         help="per-op peak RSS steps of one round, repeatable")
     parser.add_argument("--op-time", action="append", default=[], metavar="WORKLOAD",
-                        help=f"per-op minimum times over {OP_TIME_REPEATS} rounds, repeatable")
+                        help=f"per-op minimum times over {OP_TIME_REPEATS} processes of "
+                             f"{OP_TIME_SAMPLES} timed rounds, repeatable")
     args = parser.parse_args(argv)
     args.seed = args.seed or [1]
 
